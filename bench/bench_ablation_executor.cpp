@@ -1,13 +1,10 @@
-// Ablation: serial vs parallel (wave) vs affinity execution (§V-D
-// extension).
+// Ablation: serial vs affinity execution (§V-D extension).
 //
 // The paper's "Replica" thread applies decided batches serially — fine for
 // NullService, a ceiling once the service does real work. This driver
 // feeds identical decided sequences of KvService PUTs through the serial
-// baseline, through the ParallelExecutor (per-batch waves with a global
-// quiesce between them) and through the AffinityExecutor (early-scheduled
-// per-key worker affinity, no per-batch barrier — smr/executor.hpp),
-// sweeping
+// baseline and through the AffinityExecutor (early-scheduled per-key
+// worker affinity, no per-batch barrier — smr/executor.hpp), sweeping
 //
 //   * workers        — the executor_workers pool size;
 //   * conflict rate  — fraction of requests hitting one hot key (0% =
@@ -20,9 +17,7 @@
 //                      host's core count).
 //
 // Every cell executes the same deterministic request stream, so the
-// serial, parallel and affinity series are directly comparable; the wave
-// scheduler's achieved parallelism (dispatched/waves) is reported
-// alongside.
+// serial and affinity series are directly comparable.
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -42,9 +37,9 @@ namespace {
 
 /// KvService with per-request "real work" applied before the state
 /// access, outside any lock. Deterministic: the work never touches state.
-/// The hook is execute_at so every execution path pays it: serial and
-/// wave workers arrive via execute(), affinity workers call execute_at
-/// directly with the decided instance.
+/// The hook is execute_at so every execution path pays it: the serial
+/// path arrives via execute(), affinity workers call execute_at directly
+/// with the decided instance.
 class WorkingKvService : public smr::KvService {
  public:
   WorkingKvService(std::uint64_t spin_ns, std::uint64_t sleep_ns)
@@ -98,24 +93,17 @@ Workload make_workload(int n, int conflict_pct, std::uint64_t seed) {
   return workload;
 }
 
-struct CellResult {
-  double throughput_rps = 0;
-  double parallelism = 1;  ///< dispatched / waves (wave executor only)
-};
-
-enum class Impl { kSerial, kParallel, kAffinity };
-
-/// One measurement cell: the whole stream, in decided batches of `batch`.
-CellResult run_cell(const Workload& workload, Impl impl, std::size_t workers,
-                    std::uint64_t spin_ns, std::uint64_t sleep_ns, std::size_t batch) {
+/// One measurement cell: the whole stream, in decided batches of `batch`;
+/// returns requests per second. `workers == 0` runs the serial baseline.
+double run_cell(const Workload& workload, std::size_t workers, std::uint64_t spin_ns,
+                std::uint64_t sleep_ns, std::size_t batch) {
   WorkingKvService service(spin_ns, sleep_ns);
-  CellResult result;
   std::uint64_t wall_ns = 0;
-  if (impl == Impl::kSerial) {
+  if (workers == 0) {
     const std::uint64_t t0 = mono_ns();
     for (const auto& request : workload.requests) (void)service.execute(request.payload);
     wall_ns = mono_ns() - t0;
-  } else if (impl == Impl::kAffinity) {
+  } else {
     Config config;
     config.executor_impl = ExecutorImpl::kAffinity;
     config.executor_workers = workers;
@@ -153,34 +141,8 @@ CellResult run_cell(const Workload& workload, Impl impl, std::size_t workers,
     wall_ns = mono_ns() - t0;
     executor.resume();
     executor.stop();
-  } else {
-    Config config;
-    config.executor_impl = ExecutorImpl::kParallel;
-    config.executor_workers = workers;
-    smr::ParallelExecutor executor(config, service);
-    executor.start();
-    std::vector<const paxos::Request*> chunk;
-    std::vector<Bytes> replies;
-    // Time only the steady state: worker spawn/join stay outside the
-    // window (a replica pays them once, not per decided batch).
-    const std::uint64_t t0 = mono_ns();
-    for (std::size_t base = 0; base < workload.requests.size(); base += batch) {
-      chunk.clear();
-      const std::size_t end = std::min(workload.requests.size(), base + batch);
-      for (std::size_t i = base; i < end; ++i) chunk.push_back(&workload.requests[i]);
-      executor.execute(chunk, replies);
-    }
-    wall_ns = mono_ns() - t0;
-    executor.stop();
-    if (executor.waves() > 0) {
-      result.parallelism =
-          static_cast<double>(executor.dispatched() + executor.inline_execs()) /
-          static_cast<double>(executor.waves());
-    }
   }
-  result.throughput_rps =
-      static_cast<double>(workload.requests.size()) / (static_cast<double>(wall_ns) * 1e-9);
-  return result;
+  return static_cast<double>(workload.requests.size()) / (static_cast<double>(wall_ns) * 1e-9);
 }
 
 }  // namespace
@@ -188,7 +150,7 @@ CellResult run_cell(const Workload& workload, Impl impl, std::size_t workers,
 int main(int argc, char** argv) {
   auto args = mcsmr::bench::BenchArgs::parse(argc, argv, "ablation_executor");
   mcsmr::bench::BenchReport report(
-      args, "Ablation: serial vs dependency-aware parallel execution (ServiceManager)");
+      args, "Ablation: serial vs affinity execution (ServiceManager)");
 
   const int n = args.smoke ? 800 : 4000;
   const std::size_t batch = 64;  // requests per decided batch fed to the executor
@@ -201,7 +163,6 @@ int main(int argc, char** argv) {
     worker_sweep = {static_cast<std::size_t>(args.executor_workers)};
   }
   const bool run_serial = args.executor_impl.empty() || args.executor_impl == "serial";
-  const bool run_parallel = args.executor_impl.empty() || args.executor_impl == "parallel";
   const bool run_affinity = args.executor_impl.empty() || args.executor_impl == "affinity";
 
   report.env("requests", static_cast<std::int64_t>(n));
@@ -218,11 +179,9 @@ int main(int argc, char** argv) {
   const std::vector<int> conflict_rates = args.smoke ? std::vector<int>{0, 100}
                                                      : std::vector<int>{0, 50, 100};
 
-  std::printf(
-      "\n=== Ablation: serial vs parallel (wave) vs affinity execution (KvService PUTs) "
-      "===\n");
-  std::printf("  %-10s %9s %-9s %8s | %12s %12s %8s\n", "work", "conflict", "impl",
-              "workers", "req/s", "vs serial", "par");
+  std::printf("\n=== Ablation: serial vs affinity execution (KvService PUTs) ===\n");
+  std::printf("  %-10s %9s %-9s %8s | %12s %12s\n", "work", "conflict", "impl", "workers",
+              "req/s", "vs serial");
   for (const auto& mode : modes) {
     for (const int conflict : conflict_rates) {
       const std::string tag =
@@ -240,61 +199,32 @@ int main(int argc, char** argv) {
           }
         };
         if (run_serial) {
-          const auto cell =
-              run_cell(workload, Impl::kSerial, 1, mode.spin_ns, mode.sleep_ns, batch);
-          serial_rps = cell.throughput_rps;
+          serial_rps = run_cell(workload, 0, mode.spin_ns, mode.sleep_ns, batch);
           report.series("serial " + tag + " [real]", "real", "throughput", "req/s", "workers")
               .config("executor_impl", "serial")
               .config("conflict_pct", conflict)
               .config("work", mode.name)
-              .point(1, cell.throughput_rps);
+              .point(1, serial_rps);
           if (rep == args.repeat - 1) {
-            std::printf("  %-10s %8d%% %-9s %8s | %12.0f %12s %8s\n", mode.name, conflict,
-                        "serial", "-", cell.throughput_rps, "1.00x", "-");
-          }
-        }
-        if (run_parallel) {
-          for (const std::size_t workers : worker_sweep) {
-            const auto cell = run_cell(workload, Impl::kParallel, workers, mode.spin_ns,
-                                       mode.sleep_ns, batch);
-            report
-                .series("parallel " + tag + " [real]", "real", "throughput", "req/s",
-                        "workers")
-                .config("executor_impl", "parallel")
-                .config("conflict_pct", conflict)
-                .config("work", mode.name)
-                .point(static_cast<double>(workers), cell.throughput_rps);
-            report
-                .series("parallelism " + tag + " [real]", "real", "parallelism", "x",
-                        "workers")
-                .config("conflict_pct", conflict)
-                .config("work", mode.name)
-                .point(static_cast<double>(workers), cell.parallelism);
-            if (rep == args.repeat - 1) {
-              char ratio[16];
-              ratio_str(cell.throughput_rps, ratio, sizeof(ratio));
-              std::printf("  %-10s %8d%% %-9s %8zu | %12.0f %12s %7.1fx\n", mode.name,
-                          conflict, "parallel", workers, cell.throughput_rps, ratio,
-                          cell.parallelism);
-            }
+            std::printf("  %-10s %8d%% %-9s %8s | %12.0f %12s\n", mode.name, conflict,
+                        "serial", "-", serial_rps, "1.00x");
           }
         }
         if (run_affinity) {
           for (const std::size_t workers : worker_sweep) {
-            const auto cell = run_cell(workload, Impl::kAffinity, workers, mode.spin_ns,
-                                       mode.sleep_ns, batch);
+            const double rps = run_cell(workload, workers, mode.spin_ns, mode.sleep_ns, batch);
             report
                 .series("affinity " + tag + " [real]", "real", "throughput", "req/s",
                         "workers")
                 .config("executor_impl", "affinity")
                 .config("conflict_pct", conflict)
                 .config("work", mode.name)
-                .point(static_cast<double>(workers), cell.throughput_rps);
+                .point(static_cast<double>(workers), rps);
             if (rep == args.repeat - 1) {
               char ratio[16];
-              ratio_str(cell.throughput_rps, ratio, sizeof(ratio));
-              std::printf("  %-10s %8d%% %-9s %8zu | %12.0f %12s %8s\n", mode.name,
-                          conflict, "affinity", workers, cell.throughput_rps, ratio, "-");
+              ratio_str(rps, ratio, sizeof(ratio));
+              std::printf("  %-10s %8d%% %-9s %8zu | %12.0f %12s\n", mode.name, conflict,
+                          "affinity", workers, rps, ratio);
             }
           }
         }
@@ -304,9 +234,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n  io-bound scales with workers at low conflict even on one core;\n"
       "  cpu-bound scales only up to the host's cores (%u here); conflict=100%%\n"
-      "  degrades to the serial baseline plus classification cost. The wave\n"
-      "  executor pays a global quiesce per batch, so mixed-conflict batches\n"
-      "  (50%%) serialize at every wave boundary; affinity keeps the\n"
+      "  serializes on the hot key's chain, and affinity keeps the\n"
       "  non-conflicting remainder streaming across batches.\n",
       std::thread::hardware_concurrency());
   return report.finish();

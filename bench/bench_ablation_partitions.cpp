@@ -10,7 +10,7 @@
 //                      one hot key, whose partition serializes them (100%
 //                      = every request lands on one pipeline: partitioning
 //                      cannot help, routing overhead is what remains);
-//   * workers        — the parallel executor's pool size inside EACH
+//   * workers        — the affinity executor's pool size inside EACH
 //                      pipeline (1 = serial executor), showing the two
 //                      scaling axes compose.
 //
@@ -33,14 +33,16 @@ using namespace mcsmr;
 namespace {
 
 /// KvService with per-request off-CPU work applied outside the state
-/// lock; deterministic (the wait never touches state).
+/// lock; deterministic (the wait never touches state). The hook is
+/// execute_at so both executors pay it: the serial path arrives via
+/// execute(), affinity workers call execute_at directly.
 class IoBoundKvService : public smr::KvService {
  public:
   explicit IoBoundKvService(std::uint64_t sleep_ns) : sleep_ns_(sleep_ns) {}
 
-  Bytes execute(const Bytes& request) override {
+  Bytes execute_at(const Bytes& request, std::uint64_t instance) override {
     if (sleep_ns_ > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns_));
-    return KvService::execute(request);
+    return KvService::execute_at(request, instance);
   }
 
  private:
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
         params.net.node_bandwidth_bps = 0;
         params.config.num_partitions = static_cast<std::uint32_t>(partitions);
         if (workers > 1) {
-          params.config.executor_impl = ExecutorImpl::kParallel;
+          params.config.executor_impl = ExecutorImpl::kAffinity;
           params.config.executor_workers = static_cast<std::size_t>(workers);
         }
         params.service_factory = [] {

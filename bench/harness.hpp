@@ -269,7 +269,7 @@ inline RealRunResult run_real(RealRunParams params, const BenchArgs& args) {
   if (!args.queue_impl.empty()) {
     params.config.apply_overrides({{"queue_impl", args.queue_impl}});
   }
-  // --executor serial|parallel|affinity and --workers N: the
+  // --executor serial|affinity and --workers N: the
   // ServiceManager execution-strategy knob (bench_ablation_executor A/Bs
   // them).
   if (!args.executor_impl.empty()) {

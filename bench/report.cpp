@@ -162,7 +162,7 @@ namespace {
       "  --smoke         short measurement windows + thinned sweeps\n"
       "  --seed S        base SimNet RNG seed (recorded in env{})\n"
       "  --queue IMPL    hot-path queue implementation: mutex or ring\n"
-      "  --executor IMPL execution strategy: serial, parallel or affinity\n"
+      "  --executor IMPL execution strategy: serial or affinity\n"
       "  --workers N     executor worker threads\n"
       "  --pin-io        pin each ClientIO thread t to core t\n"
       "  --partitions N  partitioned SMR pipelines (Config::num_partitions)\n"
@@ -248,10 +248,8 @@ BenchArgs BenchArgs::parse(int& argc, char** argv, std::string figure) {
       }
     } else if (const char* executor_v = flag_value("--executor", argc, argv, i)) {
       args.executor_impl = executor_v;
-      if (args.executor_impl != "serial" && args.executor_impl != "parallel" &&
-          args.executor_impl != "affinity") {
-        std::fprintf(stderr, "error: --executor wants serial, parallel or affinity, got '%s'\n",
-                     executor_v);
+      if (args.executor_impl != "serial" && args.executor_impl != "affinity") {
+        std::fprintf(stderr, "error: --executor wants serial or affinity, got '%s'\n", executor_v);
         std::exit(2);
       }
     } else if (arg == "--pin-io") {

@@ -16,7 +16,7 @@
 //   --seed S        base RNG seed for SimNet (recorded in env{})
 //   --queue IMPL    hot-path queue implementation: mutex or ring
 //                   (Config::queue_impl; the before/after A-B knob)
-//   --executor IMPL execution strategy: serial, parallel or affinity
+//   --executor IMPL execution strategy: serial or affinity
 //                   (Config::executor_impl; bench_ablation_executor A-Bs)
 //   --workers N     executor worker threads (Config::executor_workers)
 //   --pin-io        pin each ClientIO thread t to core t
@@ -103,7 +103,7 @@ struct BenchArgs {
   bool smoke = false;       ///< short windows + thinned sweeps
   std::uint64_t seed = 1;   ///< base SimNet RNG seed, recorded in env{}
   std::string queue_impl;   ///< "" = config default, else "mutex"/"ring"
-  std::string executor_impl;  ///< "" = default, else "serial"/"parallel"/"affinity"
+  std::string executor_impl;  ///< "" = default, else "serial"/"affinity"
   int executor_workers = 0;   ///< 0 = config default
   bool pin_io = false;        ///< pin ClientIO threads (Config::pin_io_threads)
   int partitions = 0;         ///< 0 = config default (Config::num_partitions)

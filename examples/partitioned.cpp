@@ -25,7 +25,7 @@ int main() {
   net::SimNetwork network;
 
   // Two pipelines per replica, each executing through two affinity
-  // workers. serial/parallel/affinity and 1..N partitions compose
+  // workers. serial/affinity and 1..N partitions compose
   // freely — these two knobs are the multi-core levers of the repo.
   Config config;
   config.apply_overrides({{"num_partitions", "2"},

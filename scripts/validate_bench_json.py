@@ -106,12 +106,8 @@ def check_env(env, errors):
         errors.append("env: 'kv_conflict_pct' must be an integer in [0, 100]")
     if "queue_impl" in env and env["queue_impl"] not in ("mutex", "ring"):
         errors.append("env: 'queue_impl' must be 'mutex' or 'ring'")
-    if "executor_impl" in env and env["executor_impl"] not in (
-        "serial",
-        "parallel",
-        "affinity",
-    ):
-        errors.append("env: 'executor_impl' must be 'serial', 'parallel' or 'affinity'")
+    if "executor_impl" in env and env["executor_impl"] not in ("serial", "affinity"):
+        errors.append("env: 'executor_impl' must be 'serial' or 'affinity'")
     if "log_storage" in env and env["log_storage"] not in ("memory", "segment"):
         errors.append("env: 'log_storage' must be 'memory' or 'segment'")
     if "workload" in env and env["workload"] not in ("null", "kv"):

@@ -20,12 +20,7 @@ const char* to_string(QueueImpl impl) {
 }
 
 const char* to_string(ExecutorImpl impl) {
-  switch (impl) {
-    case ExecutorImpl::kSerial: return "serial";
-    case ExecutorImpl::kParallel: return "parallel";
-    case ExecutorImpl::kAffinity: return "affinity";
-  }
-  return "serial";
+  return impl == ExecutorImpl::kSerial ? "serial" : "affinity";
 }
 
 const char* to_string(StorageImpl impl) {
@@ -79,13 +74,10 @@ void Config::apply_overrides(const std::map<std::string, std::string>& overrides
     } else if (key == "executor_impl") {
       if (value == "serial") {
         executor_impl = ExecutorImpl::kSerial;
-      } else if (value == "parallel") {
-        executor_impl = ExecutorImpl::kParallel;
       } else if (value == "affinity") {
         executor_impl = ExecutorImpl::kAffinity;
       } else {
-        throw std::invalid_argument("executor_impl must be serial, parallel or affinity, got: " +
-                                    value);
+        throw std::invalid_argument("executor_impl must be serial or affinity, got: " + value);
       }
     } else if (key == "pin_io_threads") {
       pin_io_threads = parse_u64(value) != 0;

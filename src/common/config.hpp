@@ -15,11 +15,11 @@ namespace mcsmr {
 
 using ReplicaId = std::uint32_t;
 
-/// Implementation of the hot pipeline hand-offs (Batcher->Protocol
-/// ProposalQueue and the ServiceManager->ClientIO reply path):
-///   kMutex — instrumented BoundedBlockingQueue (the paper's design;
-///            also the legacy direct reply hand-off in the ClientIo
-///            backends), kept as the A/B baseline;
+/// Backend of the hot pipeline hand-offs (Batcher->Protocol ProposalQueue
+/// and the per-ClientIO-thread reply queues). Both backends run the same
+/// code paths; only the queue underneath changes (see backend_for()):
+///   kMutex — instrumented BoundedBlockingQueue (the paper's design),
+///            kept as the A/B baseline;
 ///   kRing  — lock-free rings with spin-then-park waiting
 ///            (PipelineQueue over SpscRing; see common/wait_strategy.hpp).
 enum class QueueImpl { kMutex, kRing };
@@ -29,18 +29,14 @@ const char* to_string(QueueImpl impl);
 /// Execution strategy of the ServiceManager (§V-D):
 ///   kSerial   — the paper's design: the Replica thread applies decided
 ///               batches one request at a time (baseline, default);
-///   kParallel — dependency-aware wave execution: a key-hash scheduler
-///               dispatches non-conflicting requests (per
-///               Service::classify) to executor_workers threads and
-///               quiesces per wave, serializing conflicting ones in
-///               decided order (Marandi-style; see smr/executor.hpp);
-///   kAffinity — early-scheduled per-key worker affinity (Alchieri-style):
+///   kAffinity — early-scheduled per-key worker affinity (Alchieri-style;
+///               see smr/executor.hpp):
 ///               classification happens at batch-build time and travels
 ///               inside the batch encoding; each worker owns a hash slice
 ///               of the key space and executes its slice in decided order
 ///               with no per-batch barrier — multi-key/global requests
 ///               rendezvous only the involved workers.
-enum class ExecutorImpl { kSerial, kParallel, kAffinity };
+enum class ExecutorImpl { kSerial, kAffinity };
 
 const char* to_string(ExecutorImpl impl);
 
@@ -147,7 +143,7 @@ struct Config {
   std::uint64_t snapshot_interval_instances = 0;
   /// Execution strategy (serial = paper baseline; see ExecutorImpl).
   ExecutorImpl executor_impl = ExecutorImpl::kSerial;
-  /// Worker threads of the parallel executor (ignored when serial).
+  /// Worker threads of the affinity executor (ignored when serial).
   std::size_t executor_workers = 2;
 
   // --- Durable log (paxos/storage.hpp; ROADMAP open item 1) ---
@@ -191,7 +187,7 @@ struct Config {
   /// batch_timeout_ms, client_io_threads, request_queue_cap,
   /// proposal_queue_cap, request_payload_bytes, reply_payload_bytes,
   /// queue_impl (mutex|ring), queue_spin_budget,
-  /// executor_impl (serial|parallel|affinity), executor_workers,
+  /// executor_impl (serial|affinity), executor_workers,
   /// pin_io_threads (0|1),
   /// num_partitions (alias: partitions), log_storage (memory|segment),
   /// log_dir, fsync_batch_ns, preexec_window, read_path (consensus|lease),

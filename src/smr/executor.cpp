@@ -6,133 +6,11 @@
 namespace mcsmr::smr {
 
 namespace {
-/// Per-worker hand-off ring capacity. Waves larger than this still work —
+/// Per-worker hand-off ring capacity. Batches larger than this still work:
 /// the scheduler's push blocks until the worker drains (no cycle back to
 /// the scheduler, so the wait is deadlock-free).
 constexpr std::size_t kWorkerQueueCap = 1024;
 }  // namespace
-
-ParallelExecutor::ParallelExecutor(const Config& config, Service& service)
-    : config_(config), service_(service),
-      worker_count_(config.executor_workers == 0 ? 1 : config.executor_workers),
-      quiesce_(config.queue_spin_budget) {}
-
-ParallelExecutor::~ParallelExecutor() { stop(); }
-
-void ParallelExecutor::start() {
-  if (started_) return;
-  started_ = true;
-  // Fresh rings every start: a PipelineQueue's close() is permanent, so a
-  // stop()/start() cycle must not hand re-spawned workers closed queues
-  // (they would exit instantly and every wave would fall back inline).
-  queues_.clear();
-  for (std::size_t i = 0; i < worker_count_; ++i) {
-    // Strictly SPSC: the scheduler is the only producer, worker i the only
-    // consumer. The mutex backend is not plumbed here — the executor is
-    // itself an alternative to the serial baseline, so the A/B knob is
-    // executor_impl, not queue_impl.
-    queues_.push_back(std::make_unique<PipelineQueue<Task>>(
-        QueueBackend::kSpsc, kWorkerQueueCap, "ExecutorQueue-" + std::to_string(i),
-        config_.queue_spin_budget));
-  }
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    threads_.emplace_back(config_.thread_name_prefix + "ExecWorker-" + std::to_string(i),
-                          [this, i] { worker_loop(i); });
-  }
-}
-
-void ParallelExecutor::stop() {
-  if (!started_) return;
-  for (auto& queue : queues_) queue->close();
-  threads_.clear();  // joins
-  started_ = false;
-}
-
-void ParallelExecutor::worker_loop(std::size_t index) {
-  PipelineQueue<Task>& queue = *queues_[index];
-  while (auto task = queue.pop()) {
-    *task->reply = service_.execute(*task->payload);
-    // acq_rel: the release makes the reply write visible to the
-    // scheduler's acquire load of pending_==0; RMWs extend the release
-    // sequence across workers.
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) quiesce_.notify();
-  }
-}
-
-void ParallelExecutor::execute(const std::vector<const paxos::Request*>& requests,
-                               std::vector<Bytes>& replies) {
-  const std::size_t n = requests.size();
-  replies.resize(n);
-  classes_.clear();
-  classes_.reserve(n);
-  for (const paxos::Request* request : requests) {
-    classes_.push_back(service_.classify(request->payload));
-  }
-
-  // Conflict test against the wave's claims: shared key with a write on
-  // either side. Claims are few (waves span at most one batch), so a
-  // linear scan beats a hash set.
-  const auto conflicts = [&](const RequestClass& c) {
-    for (const std::uint64_t key : c.keys) {
-      for (const auto& [claimed_key, claimed_write] : claimed_) {
-        if (key == claimed_key && (claimed_write || !c.read_only)) return true;
-      }
-    }
-    return false;
-  };
-
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t start = i;
-    claimed_.clear();
-    if (classes_[i].global) {
-      ++i;  // a global request is a wave of its own
-    } else {
-      for (; i < n; ++i) {
-        const RequestClass& c = classes_[i];
-        if (c.global || conflicts(c)) break;  // wave ends at the first conflict
-        for (const std::uint64_t key : c.keys) claimed_.emplace_back(key, !c.read_only);
-      }
-    }
-    run_wave(requests, replies, start, i);
-  }
-}
-
-void ParallelExecutor::run_wave(const std::vector<const paxos::Request*>& requests,
-                                std::vector<Bytes>& replies, std::size_t begin,
-                                std::size_t end) {
-  const std::size_t count = end - begin;
-  if (count == 0) return;
-  waves_.fetch_add(1, std::memory_order_relaxed);
-
-  // Singleton waves (conflict storms, global requests) skip the hand-off:
-  // the degenerate case costs classification, not a thread ping-pong.
-  if (count == 1 || !started_) {
-    for (std::size_t k = begin; k < end; ++k) {
-      replies[k] = service_.execute(requests[k]->payload);
-    }
-    inline_execs_.fetch_add(count, std::memory_order_relaxed);
-    return;
-  }
-
-  pending_.store(count, std::memory_order_relaxed);
-  for (std::size_t k = begin; k < end; ++k) {
-    Task task{&requests[k]->payload, &replies[k]};
-    if (!queues_[(k - begin) % queues_.size()]->push(task)) {
-      // push fails only on a closed queue (stop() raced or preceded this
-      // call); execute inline so the quiesce accounting stays exact and
-      // no reply slot is left empty.
-      *task.reply = service_.execute(*task.payload);
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-  dispatched_.fetch_add(count, std::memory_order_relaxed);
-  // Quiesce: every reply slot of the wave is filled once pending_ hits 0
-  // (the acquire pairs with the workers' acq_rel decrements).
-  quiesce_.await([&] { return pending_.load(std::memory_order_acquire) == 0; });
-}
-
-// --- AffinityExecutor --------------------------------------------------------
 
 AffinityExecutor::AffinityExecutor(const Config& config, Service& service,
                                    ReplyCache& reply_cache, ClientIo& client_io,
@@ -160,7 +38,9 @@ void AffinityExecutor::start() {
     frontier_[i].store(0, std::memory_order_relaxed);
     outstanding_[i].store(0, std::memory_order_relaxed);
     // Strictly SPSC: the scheduler is the only producer, worker i the only
-    // consumer (same rationale as ParallelExecutor's rings).
+    // consumer. The mutex backend is not plumbed here: the executor is
+    // itself the alternative to the serial baseline, so the A/B knob is
+    // executor_impl, not queue_impl.
     queues_.push_back(std::make_unique<PipelineQueue<Task>>(
         QueueBackend::kSpsc, kWorkerQueueCap, "AffinityQueue-" + std::to_string(i),
         config_.queue_spin_budget));
@@ -213,7 +93,7 @@ AffinityExecutor::KeyChain* AffinityExecutor::route_key(std::uint64_t key) {
   // owner as the balanced-load tie-break (strict improvement required):
   // an even load keeps the deterministic hash spread, while a hot-key
   // chain repels unrelated new keys instead of serializing its slice's
-  // share behind the storm — the wave executor's 50%-conflict collapse.
+  // share behind the storm.
   std::uint32_t best = worker_of(key, worker_count_);
   std::uint64_t best_load = outstanding_[best].load(std::memory_order_relaxed);
   for (std::uint32_t w = 0; w < worker_count_; ++w) {
@@ -241,7 +121,7 @@ void AffinityExecutor::push_task(std::uint32_t worker, const Task& task) {
   if (queues_[worker]->push(task)) return;
   // push fails only on a closed queue, which the submit contract rules out
   // (the ServiceManager thread is joined before stop()); handle the
-  // degenerate case like ParallelExecutor does — inline, in decided order.
+  // degenerate case inline, in decided order.
   switch (task.kind) {
     case Task::Kind::kExec:
       execute_and_reply(task.batch->requests[task.index], task.batch->instance);

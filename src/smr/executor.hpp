@@ -1,35 +1,13 @@
-// Dependency-aware parallel execution for the ServiceManager (§V-D,
-// extended per Marandi et al. "Rethinking State-Machine Replication for
-// Parallelism" and Alchieri et al. "Early Scheduling in Parallel SMR").
+// Parallel execution for the ServiceManager (§V-D, extended per
+// Alchieri et al. "Early Scheduling in Parallel SMR").
 //
 // The paper parallelizes every pipeline stage except execution; its
 // "Replica" thread applies decided batches serially, which caps
-// throughput as soon as the service does real work. ParallelExecutor
-// lifts that ceiling while preserving the SMR determinism contract:
-//
-//   * The scheduler (the Replica thread) classifies each request via
-//     Service::classify and greedily builds WAVES: maximal prefixes of
-//     the decided order whose members pairwise do not conflict (disjoint
-//     keys, or shared keys all read-only; `global` requests conflict with
-//     everything and run alone).
-//   * A wave is dispatched round-robin onto `executor_workers` worker
-//     threads over per-worker SPSC PipelineQueues (the PR-3 lock-free
-//     hand-off machinery) and the scheduler then QUIESCES — it waits for
-//     every request of the wave to finish before opening the next wave.
-//     Conflicting requests therefore always execute in decided order,
-//     and intra-wave scheduling freedom cannot change any reply or the
-//     final state (wave membership is a deterministic function of the
-//     decided sequence alone).
-//   * Replies are written into caller-provided slots; the caller (the
-//     ServiceManager) updates the reply cache and hands replies to the
-//     ClientIO threads in decided order AFTER the wave completes, so the
-//     existing single-producer reply rings stay single-producer.
-//   * execute() returns only when the batch has fully quiesced, which is
-//     what makes batch-boundary snapshots safe (no execute() in flight).
-//
-// Waves of size one (and `global` requests) are executed inline on the
-// scheduler thread: a conflict storm degrades to the serial baseline plus
-// classification cost instead of paying a hand-off per request.
+// throughput as soon as the service does real work. AffinityExecutor
+// (executor_impl=affinity) lifts that ceiling while preserving the SMR
+// determinism contract: requests that share a key execute in decided
+// order on one worker, and replies are byte-identical to the serial
+// baseline (executor_impl=serial, which needs no executor at all).
 #pragma once
 
 #include <atomic>
@@ -50,78 +28,9 @@
 
 namespace mcsmr::smr {
 
-class ParallelExecutor {
- public:
-  ParallelExecutor(const Config& config, Service& service);
-  ~ParallelExecutor();
-
-  ParallelExecutor(const ParallelExecutor&) = delete;
-  ParallelExecutor& operator=(const ParallelExecutor&) = delete;
-
-  void start();
-  void stop();
-
-  /// Execute `requests` (already deduplicated, in decided order), filling
-  /// `replies[i]` for `requests[i]`. Blocks until every request has
-  /// executed — on return the service is quiesced (snapshot-safe).
-  /// Must be called from a single thread (the ServiceManager thread).
-  void execute(const std::vector<const paxos::Request*>& requests,
-               std::vector<Bytes>& replies);
-
-  // --- scheduler statistics (benches / tests) ------------------------------
-  /// Requests handed to workers (excludes inline singleton/global waves).
-  std::uint64_t dispatched() const { return dispatched_.load(std::memory_order_relaxed); }
-  /// Requests executed inline on the scheduler thread.
-  std::uint64_t inline_execs() const {
-    return inline_execs_.load(std::memory_order_relaxed);
-  }
-  /// Waves opened (dispatched()/waves() ~ achieved parallelism).
-  std::uint64_t waves() const { return waves_.load(std::memory_order_relaxed); }
-  std::size_t workers() const { return worker_count_; }
-
- private:
-  struct Task {
-    const Bytes* payload = nullptr;
-    Bytes* reply = nullptr;
-  };
-
-  void worker_loop(std::size_t index);
-  void run_wave(const std::vector<const paxos::Request*>& requests,
-                std::vector<Bytes>& replies, std::size_t begin, std::size_t end);
-
-  // Owned copy, not a reference: a stored Config& tied this object's
-  // lifetime to the constructor argument (the PR-6 dangling-Config bug
-  // class); lint_invariants.py forbids storing the parameter by ref.
-  const Config config_;
-  Service& service_;
-  const std::size_t worker_count_;
-
-  /// One SPSC ring per worker; (re)built by start() — close() is
-  /// permanent per queue, so a restart needs fresh rings.
-  std::vector<std::unique_ptr<PipelineQueue<Task>>> queues_;
-  std::vector<metrics::NamedThread> threads_;
-  bool started_ = false;
-
-  /// Requests of the current wave still running on workers; the scheduler
-  /// parks on `quiesce_` until it reaches zero (spin-then-park, charged
-  /// as "waiting" in the per-thread figures).
-  std::atomic<std::size_t> pending_{0};
-  WaitStrategy quiesce_;
-
-  std::atomic<std::uint64_t> dispatched_{0};
-  std::atomic<std::uint64_t> inline_execs_{0};
-  std::atomic<std::uint64_t> waves_{0};
-
-  // Scratch for wave construction (scheduler thread only).
-  std::vector<RequestClass> classes_;
-  std::vector<std::pair<std::uint64_t, bool>> claimed_;  ///< (key, write) claims
-};
-
 /// Early-scheduled per-key worker affinity (executor_impl=affinity;
-/// Alchieri et al. "Early Scheduling in Parallel SMR", P-SMR).
-///
-/// Where ParallelExecutor quiesces the whole replica at every wave
-/// boundary, AffinityExecutor never erects a per-batch barrier:
+/// Alchieri et al. "Early Scheduling in Parallel SMR", P-SMR). There is
+/// no per-batch barrier:
 ///
 ///   * Classification happens at batch-BUILD time on the leader (the
 ///     Batcher runs Service::classify once per request) and the resulting

@@ -2,16 +2,15 @@
 //
 // With the serial executor (the paper's design), execute() is called by
 // exactly one thread (the ServiceManager / "Replica" thread) in
-// decided-instance order on every replica. With the wave executor
-// (executor_impl=parallel) or the affinity executor
+// decided-instance order on every replica. With the affinity executor
 // (executor_impl=affinity) non-conflicting requests — as declared by
 // classify() — may execute concurrently on worker threads, so execute()
-// must be internally thread-safe; both schedulers guarantee that requests
+// must be internally thread-safe; the scheduler guarantees that requests
 // whose classifications conflict never overlap and always run in decided
 // order, which keeps the externally observable state machine
-// deterministic. The affinity executor additionally executes different
-// instances concurrently, so it calls execute_at() (instance as an
-// argument) instead of note_instance()+execute(). snapshot()/install()
+// deterministic. It also executes different instances concurrently, so it
+// calls execute_at() (instance as an argument) instead of
+// note_instance()+execute(). snapshot()/install()
 // support state transfer to lagging replicas and are only invoked at
 // quiesce points (no execute() in flight), but tests and benches probe
 // them cross-thread, hence the internal guards.
@@ -96,10 +95,10 @@ class Service {
   /// Default: ignored.
   virtual void note_instance(std::uint64_t /*instance*/) {}
 
-  /// Classify a request for the dependency-aware parallel executor. Must
-  /// be a pure function of the request bytes (it runs on the scheduler
-  /// thread, possibly concurrently with execute() on workers). The
-  /// default declares every request global, which degrades the parallel
+  /// Classify a request for the affinity executor and the partition
+  /// router. Must be a pure function of the request bytes (it runs on the
+  /// Batcher, possibly concurrently with execute() on workers). The
+  /// default declares every request global, which degrades the affinity
   /// executor to serial order — always safe for services that do not
   /// opt in.
   virtual RequestClass classify(const Bytes& /*request*/) const { return RequestClass{}; }
@@ -127,7 +126,7 @@ class NullService : public Service {
   explicit NullService(std::size_t reply_bytes = 8) : reply_(reply_bytes, 0) {}
   Bytes execute(const Bytes& /*request*/) override {
     // Atomic: conflict-free requests execute concurrently under the
-    // parallel executor, and tests/benches probe executed() cross-thread.
+    // affinity executor, and tests/benches probe executed() cross-thread.
     executed_.fetch_add(1, std::memory_order_relaxed);
     return reply_;
   }
@@ -272,7 +271,7 @@ class LockService : public Service {
     std::uint64_t fencing_token = 0;
   };
   // Same contract as KvService::mu_: overlapping execute() calls under the
-  // parallel executor plus cross-thread held_locks()/snapshot() probes
+  // affinity executor plus cross-thread held_locks()/snapshot() probes
   // from tests and benches.
   mutable std::mutex mu_;
   std::map<std::string, Lock> locks_;

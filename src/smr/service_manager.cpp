@@ -13,9 +13,7 @@ ServiceManager::ServiceManager(const Config& config, DecisionQueue& decisions,
     : config_(config), decisions_(decisions), service_(service), reply_cache_(reply_cache),
       client_io_(client_io), dispatcher_(dispatcher), shared_(shared),
       hooks_(std::move(hooks)) {
-  if (config_.executor_impl == ExecutorImpl::kParallel) {
-    executor_ = std::make_unique<ParallelExecutor>(config_, service_);
-  } else if (config_.executor_impl == ExecutorImpl::kAffinity) {
+  if (config_.executor_impl == ExecutorImpl::kAffinity) {
     affinity_ = std::make_unique<AffinityExecutor>(config_, service_, reply_cache_, client_io_,
                                                    shared_);
   }
@@ -26,7 +24,6 @@ ServiceManager::~ServiceManager() { stop(); }
 void ServiceManager::start() {
   if (started_) return;
   started_ = true;
-  if (executor_) executor_->start();
   if (affinity_) affinity_->start();
   // The paper labels this thread "Replica" in its per-thread figures.
   thread_ = metrics::NamedThread(config_.thread_name_prefix + "Replica", [this] { run(); });
@@ -34,14 +31,11 @@ void ServiceManager::start() {
 
 void ServiceManager::stop() {
   if (!started_) return;  // never started: nothing to join or unwind
-  // run() exits when the DecisionQueue closes (Replica::stop closes it);
-  // join it first so no execute_batch is in flight when the executor's
-  // worker pool shuts down.
-  thread_.join();
-  if (executor_) executor_->stop();
+  // run() exits when the DecisionQueue closes (Replica::stop closes it).
   // Join order matters: with the SM thread gone, every task of every
   // submitted batch — including all markers of every rendezvous — is
-  // already in the rings, so close-and-drain retires them all.
+  // already in the rings, so the executor's close-and-drain retires them all.
+  thread_.join();
   if (affinity_) affinity_->stop();
   started_ = false;
 }
@@ -123,8 +117,6 @@ void ServiceManager::execute_batch(paxos::InstanceId instance, const Bytes& batc
       }
     }
     execute_affinity(instance, decoded.requests, decoded.classes);
-  } else if (executor_) {
-    execute_parallel(decoded.requests);
   } else {
     execute_serial(decoded.requests);
   }
@@ -174,54 +166,11 @@ void ServiceManager::execute_serial(const std::vector<paxos::Request>& requests)
   }
 }
 
-void ServiceManager::run_parallel_segment(std::vector<const paxos::Request*>& todo) {
-  if (todo.empty()) return;
-  std::vector<Bytes> replies;
-  executor_->execute(todo, replies);  // returns quiesced: every reply filled
-
-  // Decided order, on this thread: reply-cache updates stay ordered and
-  // the per-ClientIO reply rings keep their single producer.
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    reply_cache_.update(todo[i]->client_id, todo[i]->seq, replies[i]);
-    shared_.executed_requests.fetch_add(1, std::memory_order_relaxed);
-    client_io_.send_reply(todo[i]->client_id, todo[i]->seq, ReplyStatus::kOk, replies[i]);
-  }
-  todo.clear();
-}
-
-void ServiceManager::execute_parallel(const std::vector<paxos::Request>& requests) {
-  // Dedup BEFORE dispatch: against the reply cache (double-decides across
-  // view changes) and within the batch (the serial path catches an
-  // intra-batch duplicate via its per-request cache check; here the cache
-  // is only updated after the segment executes, so check explicitly).
-  std::vector<const paxos::Request*> todo;
-  todo.reserve(requests.size());
-  for (const auto& request : requests) {
-    if (reply_cache_.executed(request.client_id, request.seq)) continue;
-    if (cross_partition(request)) {
-      // Flush what precedes the barrier point so the rendezvous sees this
-      // shard quiesced exactly at the cross-partition request.
-      run_parallel_segment(todo);
-      if (!wait_cross_partition(request)) return;  // shutting down
-      continue;
-    }
-    // Match the serial path's semantics exactly: the cache marks any
-    // seq <= the last executed one as done, so a stale lower seq decided
-    // after a newer one in the SAME batch must be skipped too.
-    const bool duplicate_in_batch =
-        std::any_of(todo.begin(), todo.end(), [&](const paxos::Request* seen) {
-          return seen->client_id == request.client_id && seen->seq >= request.seq;
-        });
-    if (duplicate_in_batch) continue;
-    todo.push_back(&request);
-  }
-  run_parallel_segment(todo);
-}
-
 void ServiceManager::execute_affinity(paxos::InstanceId instance,
                                       std::vector<paxos::Request>& requests,
                                       const std::vector<RequestClass>& classes) {
-  // Dedup BEFORE dispatch, like the parallel path — but against
+  // Dedup BEFORE dispatch (double-decides across view changes, and a
+  // stale lower seq decided after a newer one in the same batch) against
   // enqueued_seq_, not the reply cache: workers update the cache as they
   // finish, so it lags what this thread has already routed.
   std::vector<paxos::Request> todo;
@@ -278,9 +227,9 @@ void ServiceManager::maybe_snapshot(paxos::InstanceId instance) {
     return;
   }
 
-  // Batch-boundary quiesce point: execute_batch has returned, so in wave
-  // mode no execute() is in flight on any worker. Affinity workers stream
-  // across batches, so they must be parked explicitly for the capture.
+  // Batch-boundary quiesce point: execute_batch has returned, so serial
+  // execution is idle. Affinity workers stream across batches, so they
+  // must be parked explicitly for the capture.
   if (affinity_) affinity_->quiesce();
   auto snapshot = std::make_shared<paxos::SnapshotData>();
   snapshot->next_instance = instance + 1;

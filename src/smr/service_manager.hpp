@@ -9,19 +9,11 @@
 // Execution strategy (Config::executor_impl):
 //   serial   — the paper's baseline: requests applied inline, one at a
 //              time, on this thread;
-//   parallel — dependency-aware parallel execution: a ParallelExecutor
-//              (smr/executor.hpp) dispatches non-conflicting requests to
-//              worker threads and quiesces per wave, preserving decided
-//              order between conflicting requests. Replies and reply-
-//              cache updates still happen on this thread, in decided
-//              order, so the per-ClientIO reply rings keep their single
-//              producer, and snapshots are taken only between batches
-//              (quiesced — no execute() in flight).
 //   affinity — early-scheduled per-key worker affinity: batches arrive
 //              with classification footprints embedded (v2 encoding, see
 //              paxos/messages.cpp), so this thread only dedups and routes
 //              each request to its owning worker's ring — no classify(),
-//              no wave barrier, no reply hand-off. Workers execute and
+//              no per-batch barrier, no reply hand-off. Workers execute and
 //              reply; the executed frontier advances through per-worker
 //              tokens (AffinityExecutor::publish_frontier). Snapshots,
 //              installs and cross-partition barriers quiesce the workers
@@ -40,7 +32,7 @@
 //
 // Exactly-once: a request already recorded as executed (its seq <= the
 // client's cached seq) is skipped — this absorbs the rare double-decide of
-// a retried request across a view change. The parallel path additionally
+// a retried request across a view change. The affinity path additionally
 // dedups within the batch before dispatch (the serial path gets this for
 // free from its per-request cache check).
 #pragma once
@@ -102,8 +94,6 @@ class ServiceManager {
     shared_.executed_frontier.store(next_instance, std::memory_order_release);
   }
 
-  /// The parallel executor, if one is configured (benches/tests).
-  const ParallelExecutor* executor() const { return executor_.get(); }
   /// The affinity executor, if one is configured (benches/tests).
   const AffinityExecutor* affinity_executor() const { return affinity_.get(); }
 
@@ -114,10 +104,8 @@ class ServiceManager {
   /// install may already have moved it further).
   void mark_instance_consumed(paxos::InstanceId instance);
   void execute_serial(const std::vector<paxos::Request>& requests);
-  void execute_parallel(const std::vector<paxos::Request>& requests);
   void execute_affinity(paxos::InstanceId instance, std::vector<paxos::Request>& requests,
                         const std::vector<RequestClass>& classes);
-  void run_parallel_segment(std::vector<const paxos::Request*>& todo);
   void maybe_snapshot(paxos::InstanceId instance);
   void handle_install(const SnapshotInstallEvent& event);
   void maybe_help_barrier();
@@ -138,7 +126,6 @@ class ServiceManager {
   SharedState& shared_;
   PartitionHooks hooks_;
 
-  std::unique_ptr<ParallelExecutor> executor_;  ///< null unless kParallel
   std::unique_ptr<AffinityExecutor> affinity_;  ///< null unless kAffinity
   /// Affinity dedup state (this thread only): highest seq dispatched per
   /// client. The reply cache lags execution in affinity mode (workers

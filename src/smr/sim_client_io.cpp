@@ -16,25 +16,20 @@ SimClientIo::SimClientIo(const Config& config, net::SimNetwork& net, net::NodeId
     : config_(config), net_(net), self_node_(self_node),
       gate_(config, std::move(intakes), router, shared), shared_(shared),
       io_threads_(config.client_io_threads < 1 ? 1 : config.client_io_threads),
-      ring_replies_(config.queue_impl == QueueImpl::kRing),
       wake_pending_(std::make_unique<std::atomic<bool>[]>(
           static_cast<std::size_t>(io_threads_))) {
-  if (ring_replies_) {
-    // Single pipeline: the ServiceManager thread is the only producer of
-    // IO thread t's ring (SPSC). Partitioned: every pipeline's Service
-    // Manager produces, so the ring goes multi-producer — as does the
-    // affinity executor, whose workers reply directly.
-    const QueueBackend backend = backend_for(
-        config.queue_impl,
-        /*fan_in=*/config.num_partitions > 1 ||
-            config.executor_impl == ExecutorImpl::kAffinity);
-    for (int t = 0; t < io_threads_; ++t) {
-      reply_queues_.push_back(std::make_unique<PipelineQueue<ClientReplyFrame>>(
-          backend, config.reply_queue_cap,
-          "ReplyQueue-" + std::to_string(t), config.queue_spin_budget));
-    }
-  }
+  // Single pipeline: the ServiceManager thread is the only producer of IO
+  // thread t's queue (SPSC). Partitioned: every pipeline's ServiceManager
+  // produces, so the queue goes multi-producer — as does the affinity
+  // executor, whose workers reply directly.
+  const QueueBackend backend = backend_for(
+      config.queue_impl,
+      /*fan_in=*/config.num_partitions > 1 ||
+          config.executor_impl == ExecutorImpl::kAffinity);
   for (int t = 0; t < io_threads_; ++t) {
+    reply_queues_.push_back(std::make_unique<PipelineQueue<ClientReplyFrame>>(
+        backend, config.reply_queue_cap, "ReplyQueue-" + std::to_string(t),
+        config.queue_spin_budget));
     wake_pending_[static_cast<std::size_t>(t)].store(false, std::memory_order_relaxed);
   }
 }
@@ -53,7 +48,7 @@ void SimClientIo::start() {
 void SimClientIo::stop() {
   if (!started_) return;
   // Close the reply queues first so a ServiceManager blocked on a full
-  // ring unwedges (its push fails) before the IO threads go away.
+  // queue unwedges (its push fails) before the IO threads go away.
   for (auto& queue : reply_queues_) queue->close();
   for (int t = 0; t < io_threads_; ++t) {
     net_.close_inbox(self_node_, kClientIoChannelBase + static_cast<net::Channel>(t));
@@ -79,15 +74,13 @@ void SimClientIo::io_loop(int thread_index) {
   const net::Channel channel = kClientIoChannelBase + static_cast<net::Channel>(thread_index);
   while (auto message = net_.recv(self_node_, channel)) {
     if (message->payload.empty()) {
-      // Reply-ring wake. Clear the flag BEFORE draining: any reply pushed
+      // Reply-queue wake. Clear the flag BEFORE draining: any reply pushed
       // after the clear triggers a fresh wake, any reply pushed before it
       // is caught by this drain.
-      if (ring_replies_) {
-        wake_pending_[static_cast<std::size_t>(thread_index)].store(
-            false, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        drain_replies(thread_index);
-      }
+      wake_pending_[static_cast<std::size_t>(thread_index)].store(false,
+                                                                 std::memory_order_seq_cst);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      drain_replies(thread_index);
       continue;
     }
 
@@ -99,69 +92,50 @@ void SimClientIo::io_loop(int thread_index) {
       continue;
     }
 
-    if (frame.kind == ClientFrameKind::kRequest) {
-      // Remember where to answer, then run the admission gate.
-      reply_nodes_.put(frame.request.client_id, frame.request.reply_node);
-      auto outcome = gate_.admit(frame.request);
-      if (outcome.action == RequestGate::Action::kReplyNow) {
-        net_.send(self_node_, frame.request.reply_node, kClientReplyChannel,
-                  encode_client_reply(outcome.reply));
-      }
-      // Opportunistic drain: request traffic keeps the reply ring flowing
-      // even if a wake message was lost to a momentarily full inbox.
-      if (ring_replies_) drain_replies(thread_index);
-    } else {
-      // Legacy (kMutex) path: a full reply directive injected by the
-      // ServiceManager; this IO thread owns the client's "connection",
-      // so it does the network send.
-      auto node = reply_nodes_.get(frame.reply.client_id);
-      if (node.has_value()) {
-        net_.send(self_node_, *node, kClientReplyChannel, message->payload);
-      }
+    if (frame.kind != ClientFrameKind::kRequest) continue;
+    // Remember where to answer, then run the admission gate.
+    reply_nodes_.put(frame.request.client_id, frame.request.reply_node);
+    auto outcome = gate_.admit(frame.request);
+    if (outcome.action == RequestGate::Action::kReplyNow) {
+      net_.send(self_node_, frame.request.reply_node, kClientReplyChannel,
+                encode_client_reply(outcome.reply));
     }
+    // Opportunistic drain: request traffic keeps the reply queue flowing
+    // even if a wake message was lost to a momentarily full inbox.
+    drain_replies(thread_index);
   }
 }
 
 void SimClientIo::send_reply(paxos::ClientId client, paxos::RequestSeq seq,
                              ReplyStatus status, const Bytes& payload) {
   const int t = thread_for_client(client);
-  if (ring_replies_) {
-    // Bounded wait, then a counted drop: blocking here forever would close
-    // a deadlock cycle (ServiceManager -> reply ring -> IO thread ->
-    // RequestQueue -> Batcher -> ProposalQueue -> Protocol ->
-    // DecisionQueue -> ServiceManager). The dropped client retries and is
-    // answered from the reply cache.
-    if (!reply_queues_[static_cast<std::size_t>(t)]->push_for(
-            ClientReplyFrame{client, seq, status, payload}, kReplyPushBudgetNs)) {
-      shared_.dropped_replies.fetch_add(1, std::memory_order_relaxed);
-      return;  // ring full for the whole budget, or shutting down
-    }
-    auto& pending = wake_pending_[static_cast<std::size_t>(t)];
-    // Fence pairing with the consumer (clear-fence-drain): if our exchange
-    // is ordered before the consumer's clear, the fences make the push
-    // visible to that drain; if after, the exchange reads false and we
-    // send a fresh wake. Either way no reply is stranded.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!pending.exchange(true, std::memory_order_seq_cst)) {
-      shared_.reply_wakeups.fetch_add(1, std::memory_order_relaxed);
-      net::SimMessage wake;
-      wake.from = self_node_;
-      wake.channel = channel_for_client(client);
-      if (!net_.inject(self_node_, wake.channel, std::move(wake))) {
-        // Inbox full or closed: re-arm so the next reply retries the wake
-        // (the opportunistic drain in io_loop covers the gap meanwhile).
-        pending.store(false, std::memory_order_seq_cst);
-      }
-    }
-    return;
+  // Bounded wait, then a counted drop: blocking here forever would close
+  // a deadlock cycle (ServiceManager -> reply queue -> IO thread ->
+  // RequestQueue -> Batcher -> ProposalQueue -> Protocol ->
+  // DecisionQueue -> ServiceManager). The dropped client retries and is
+  // answered from the reply cache.
+  if (!reply_queues_[static_cast<std::size_t>(t)]->push_for(
+          ClientReplyFrame{client, seq, status, payload}, kReplyPushBudgetNs)) {
+    shared_.dropped_replies.fetch_add(1, std::memory_order_relaxed);
+    return;  // queue full for the whole budget, or shutting down
   }
-
-  ClientReplyFrame reply{client, seq, status, payload};
-  net::SimMessage directive;
-  directive.from = self_node_;
-  directive.channel = channel_for_client(client);
-  directive.payload = encode_client_reply(reply);
-  net_.inject(self_node_, directive.channel, std::move(directive));
+  auto& pending = wake_pending_[static_cast<std::size_t>(t)];
+  // Fence pairing with the consumer (clear-fence-drain): if our exchange
+  // is ordered before the consumer's clear, the fences make the push
+  // visible to that drain; if after, the exchange reads false and we
+  // send a fresh wake. Either way no reply is stranded.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!pending.exchange(true, std::memory_order_seq_cst)) {
+    shared_.reply_wakeups.fetch_add(1, std::memory_order_relaxed);
+    net::SimMessage wake;
+    wake.from = self_node_;
+    wake.channel = channel_for_client(client);
+    if (!net_.inject(self_node_, wake.channel, std::move(wake))) {
+      // Inbox full or closed: re-arm so the next reply retries the wake
+      // (the opportunistic drain in io_loop covers the gap meanwhile).
+      pending.store(false, std::memory_order_seq_cst);
+    }
+  }
 }
 
 }  // namespace mcsmr::smr

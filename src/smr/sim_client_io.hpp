@@ -5,15 +5,11 @@
 // The reply path preserves the paper's structure: the ServiceManager does
 // NOT write to the network itself — it hands each reply to the IO thread
 // owning the client's "connection", and that thread serializes and
-// performs the network send. Two implementations, selected by
-// Config::queue_impl:
-//   kMutex — legacy: each reply is injected as a directive into the IO
-//            thread's SimNet inbox (a mutex-queue hand-off per reply);
-//   kRing  — each IO thread owns an SPSC reply ring (single ServiceManager
-//            producer); the ServiceManager pushes frames lock-free and
-//            injects one empty wake message per burst (edge-triggered via
-//            an atomic flag), so a batch of B replies costs B ring ops +
-//            1 inbox hand-off instead of B inbox hand-offs.
+// performs the network send. Each IO thread owns a reply queue (Fig 3);
+// the ServiceManager pushes frames and injects one empty wake message per
+// burst (edge-triggered via an atomic flag), so a batch of B replies costs
+// B queue ops + 1 inbox hand-off. Config::queue_impl picks the queue's
+// backend (lock-free ring or the paper's mutex queue; see backend_for()).
 #pragma once
 
 #include <vector>
@@ -65,16 +61,15 @@ class SimClientIo : public ClientIo {
   RequestGate gate_;
   SharedState& shared_;
   const int io_threads_;
-  const bool ring_replies_;
 
   /// client -> SimNet node to answer to (learned from request frames).
   ClientRegistry<net::NodeId> reply_nodes_;
 
-  // Ring reply path (queue_impl == kRing): one SPSC queue + wake flag per
-  // IO thread. wake_pending_[t] true means a wake message is already in
-  // flight (or the IO thread has not yet drained), so pushes skip the
-  // inject; the IO thread clears the flag BEFORE draining, which makes
-  // the push-then-exchange order on the producer side lose no replies.
+  // Reply path: one queue + wake flag per IO thread. wake_pending_[t] true
+  // means a wake message is already in flight (or the IO thread has not
+  // yet drained), so pushes skip the inject; the IO thread clears the flag
+  // BEFORE draining, which makes the push-then-exchange order on the
+  // producer side lose no replies.
   std::vector<std::unique_ptr<PipelineQueue<ClientReplyFrame>>> reply_queues_;
   std::unique_ptr<std::atomic<bool>[]> wake_pending_;
 

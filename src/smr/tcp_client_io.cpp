@@ -22,27 +22,24 @@ TcpClientIo::TcpClientIo(const Config& config, std::uint16_t port,
                          const PartitionRouter* router, SharedState& shared)
     : config_(config), gate_(config, std::move(intakes), router, shared), shared_(shared),
       io_threads_(config.client_io_threads < 1 ? 1 : config.client_io_threads),
-      ring_replies_(config.queue_impl == QueueImpl::kRing),
       wake_pending_(std::make_unique<std::atomic<bool>[]>(
           static_cast<std::size_t>(io_threads_))) {
   listener_ = net::TcpListener::bind(port);
   loops_.reserve(static_cast<std::size_t>(io_threads_));
   conns_.resize(static_cast<std::size_t>(io_threads_));
   // Single pipeline: the ServiceManager thread is the only producer of a
-  // loop's ring (SPSC). Partitioned: every pipeline's ServiceManager
-  // produces, so the ring goes multi-producer — as does the affinity
-  // executor, whose workers reply directly.
+  // loop's reply queue (SPSC). Partitioned: every pipeline's
+  // ServiceManager produces, so the queue goes multi-producer — as does
+  // the affinity executor, whose workers reply directly.
   const QueueBackend backend = backend_for(
       config.queue_impl,
       /*fan_in=*/config.num_partitions > 1 ||
           config.executor_impl == ExecutorImpl::kAffinity);
   for (int t = 0; t < io_threads_; ++t) {
     loops_.push_back(std::make_unique<net::EventLoop>());
-    if (ring_replies_) {
-      reply_queues_.push_back(std::make_unique<PipelineQueue<PendingReply>>(
-          backend, config.reply_queue_cap,
-          "ReplyQueue-" + std::to_string(t), config.queue_spin_budget));
-    }
+    reply_queues_.push_back(std::make_unique<PipelineQueue<PendingReply>>(
+        backend, config.reply_queue_cap, "ReplyQueue-" + std::to_string(t),
+        config.queue_spin_budget));
     wake_pending_[static_cast<std::size_t>(t)].store(false, std::memory_order_relaxed);
   }
 }
@@ -68,7 +65,7 @@ void TcpClientIo::start() {
 void TcpClientIo::stop() {
   if (!started_) return;
   // Close the reply queues first so a ServiceManager blocked on a full
-  // ring unwedges (its push fails) before the loops go away.
+  // queue unwedges (its push fails) before the loops go away.
   for (auto& queue : reply_queues_) queue->close();
   listener_->close();
   accept_thread_.join();
@@ -217,39 +214,29 @@ void TcpClientIo::send_reply(paxos::ClientId client, paxos::RequestSeq seq,
   const int thread_index = ref->thread;
   const int fd = ref->fd;
 
-  if (ring_replies_) {
-    auto& queue = *reply_queues_[static_cast<std::size_t>(thread_index)];
-    // Bounded wait + counted drop rather than an unbounded block: see
-    // SimClientIo::send_reply for the deadlock cycle this avoids.
-    if (!queue.push_for(PendingReply{fd, std::move(frame)}, kReplyPushBudgetNs)) {
-      shared_.dropped_replies.fetch_add(1, std::memory_order_relaxed);
-      return;  // ring full for the whole budget, or shutting down
-    }
-    auto& pending = wake_pending_[static_cast<std::size_t>(thread_index)];
-    // Fence pairing with the drain task (clear-fence-drain), same protocol
-    // as SimClientIo::send_reply: either the drain sees this push, or the
-    // exchange reads false and a fresh drain task is posted.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!pending.exchange(true, std::memory_order_seq_cst)) {
-      shared_.reply_wakeups.fetch_add(1, std::memory_order_relaxed);
-      loops_[static_cast<std::size_t>(thread_index)]->post([this, thread_index] {
-        // Clear the flag BEFORE popping: replies pushed after the clear
-        // get a fresh drain task, replies pushed before are caught here.
-        wake_pending_[static_cast<std::size_t>(thread_index)].store(
-            false, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        drain_replies(thread_index);
-      });
-    }
-    return;
+  auto& queue = *reply_queues_[static_cast<std::size_t>(thread_index)];
+  // Bounded wait + counted drop rather than an unbounded block: see
+  // SimClientIo::send_reply for the deadlock cycle this avoids.
+  if (!queue.push_for(PendingReply{fd, std::move(frame)}, kReplyPushBudgetNs)) {
+    shared_.dropped_replies.fetch_add(1, std::memory_order_relaxed);
+    return;  // queue full for the whole budget, or shutting down
   }
-
-  // Legacy (kMutex) path: one post per reply; the owning IO thread
-  // serializes and writes.
-  loops_[static_cast<std::size_t>(thread_index)]->post(
-      [this, thread_index, fd, frame = std::move(frame)]() mutable {
-        enqueue_frame(thread_index, fd, std::move(frame));
-      });
+  auto& pending = wake_pending_[static_cast<std::size_t>(thread_index)];
+  // Fence pairing with the drain task (clear-fence-drain), same protocol
+  // as SimClientIo::send_reply: either the drain sees this push, or the
+  // exchange reads false and a fresh drain task is posted.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!pending.exchange(true, std::memory_order_seq_cst)) {
+    shared_.reply_wakeups.fetch_add(1, std::memory_order_relaxed);
+    loops_[static_cast<std::size_t>(thread_index)]->post([this, thread_index] {
+      // Clear the flag BEFORE popping: replies pushed after the clear
+      // get a fresh drain task, replies pushed before are caught here.
+      wake_pending_[static_cast<std::size_t>(thread_index)].store(false,
+                                                                 std::memory_order_seq_cst);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      drain_replies(thread_index);
+    });
+  }
 }
 
 }  // namespace mcsmr::smr

@@ -2,16 +2,13 @@
 // epoll event loops, and round-robin assignment of accepted connections.
 //
 // Each IO thread owns an EventLoop; a connection lives on exactly one
-// loop for its lifetime. Replies are handed to the owning loop (Fig 3's
-// per-ClientIO-thread reply queue) and written by that thread, with
-// partial writes buffered and flushed on EPOLLOUT. Two hand-off
-// implementations, selected by Config::queue_impl:
-//   kMutex — legacy: one EventLoop::post (mutex task queue + eventfd
-//            write) per reply;
-//   kRing  — per-loop SPSC reply ring (single ServiceManager producer);
-//            replies are pushed lock-free and one drain task is posted
-//            per burst (edge-triggered via an atomic flag), so a batch of
-//            B replies costs B ring ops + 1 post instead of B posts.
+// loop for its lifetime. Replies are handed to the owning loop through
+// its reply queue (Fig 3's per-ClientIO-thread reply queue) and written by
+// that thread, with partial writes buffered and flushed on EPOLLOUT. One
+// drain task is posted per burst (edge-triggered via an atomic flag), so
+// a batch of B replies costs B queue ops + 1 post. Config::queue_impl
+// picks the queue's backend (lock-free ring or the paper's mutex queue;
+// see backend_for()).
 //
 // Backpressure: the admission gate pushes into the bounded RequestQueue
 // with a blocking push, stalling the IO thread — which therefore stops
@@ -69,7 +66,7 @@ class TcpClientIo : public ClientIo {
     int fd = -1;
   };
 
-  /// A reply staged on a loop's ring, bound for connection `fd`.
+  /// A reply staged on a loop's reply queue, bound for connection `fd`.
   struct PendingReply {
     int fd = -1;
     Bytes frame;
@@ -90,7 +87,6 @@ class TcpClientIo : public ClientIo {
   RequestGate gate_;
   SharedState& shared_;
   const int io_threads_;
-  const bool ring_replies_;
 
   std::optional<net::TcpListener> listener_;
   std::vector<std::unique_ptr<net::EventLoop>> loops_;
@@ -99,10 +95,10 @@ class TcpClientIo : public ClientIo {
 
   ClientRegistry<ConnRef> clients_;
 
-  // Ring reply path (queue_impl == kRing): one SPSC queue + wake flag per
-  // loop. The flag is cleared by the drain task BEFORE it pops, so the
-  // producer's push-then-exchange order guarantees every reply is seen by
-  // some drain (same pattern as SimClientIo).
+  // Reply path: one queue + wake flag per loop. The flag is cleared by the
+  // drain task BEFORE it pops, so the producer's push-then-exchange order
+  // guarantees every reply is seen by some drain (same pattern as
+  // SimClientIo).
   std::vector<std::unique_ptr<PipelineQueue<PendingReply>>> reply_queues_;
   std::unique_ptr<std::atomic<bool>[]> wake_pending_;
 

@@ -56,5 +56,19 @@ TEST(Config, RejectsEvenN) {
   EXPECT_THROW(Config::from_args({"n=4"}), std::invalid_argument);
 }
 
+TEST(Config, ExecutorImplParsesSerialAndAffinity) {
+  EXPECT_EQ(Config().executor_impl, ExecutorImpl::kSerial);
+  EXPECT_EQ(Config::from_args({"executor_impl=serial"}).executor_impl, ExecutorImpl::kSerial);
+  EXPECT_EQ(Config::from_args({"executor_impl=affinity"}).executor_impl, ExecutorImpl::kAffinity);
+  EXPECT_STREQ(to_string(ExecutorImpl::kSerial), "serial");
+  EXPECT_STREQ(to_string(ExecutorImpl::kAffinity), "affinity");
+}
+
+TEST(Config, RejectsUnknownExecutorImpl) {
+  // "parallel" named the wave executor, which no longer exists.
+  EXPECT_THROW(Config::from_args({"executor_impl=parallel"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"executor_impl=bogus"}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mcsmr

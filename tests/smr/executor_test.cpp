@@ -1,8 +1,7 @@
-// Dependency-aware parallel execution: classifier contracts, wave and
-// affinity scheduling invariants, and the SMR determinism contract — the
-// same decided sequence through the serial baseline, the wave executor
-// and the affinity executor must yield identical service state and
-// identical replies.
+// Parallel execution: classifier contracts, affinity scheduling
+// invariants, and the SMR determinism contract — the same decided
+// sequence through the serial baseline and the affinity executor must
+// yield identical service state and identical replies.
 #include "smr/executor.hpp"
 
 #include <gtest/gtest.h>
@@ -18,13 +17,6 @@
 namespace mcsmr::smr {
 namespace {
 
-Config parallel_config(std::size_t workers) {
-  Config config;
-  config.executor_impl = ExecutorImpl::kParallel;
-  config.executor_workers = workers;
-  return config;
-}
-
 std::vector<paxos::Request> make_requests(const std::vector<Bytes>& payloads) {
   std::vector<paxos::Request> requests;
   requests.reserve(payloads.size());
@@ -32,40 +24,6 @@ std::vector<paxos::Request> make_requests(const std::vector<Bytes>& payloads) {
     requests.push_back({/*client_id=*/i + 1, /*seq=*/1, payloads[i]});
   }
   return requests;
-}
-
-std::vector<const paxos::Request*> pointers(const std::vector<paxos::Request>& requests) {
-  std::vector<const paxos::Request*> ptrs;
-  for (const auto& request : requests) ptrs.push_back(&request);
-  return ptrs;
-}
-
-/// Run the decided sequence through a serial loop on `serial` and through
-/// a ParallelExecutor on `parallel`; returns {serial replies, parallel
-/// replies} and leaves both services holding their final state.
-std::pair<std::vector<Bytes>, std::vector<Bytes>> run_both(
-    Service& serial, Service& parallel, const std::vector<Bytes>& payloads,
-    std::size_t workers, std::size_t batch = 16) {
-  std::vector<Bytes> serial_replies;
-  for (const auto& payload : payloads) serial_replies.push_back(serial.execute(payload));
-
-  const Config config = parallel_config(workers);
-  ParallelExecutor executor(config, parallel);
-  executor.start();
-  const auto requests = make_requests(payloads);
-  std::vector<Bytes> parallel_replies;
-  // Feed in decided-batch-sized chunks, as the ServiceManager would.
-  for (std::size_t base = 0; base < requests.size(); base += batch) {
-    std::vector<const paxos::Request*> chunk;
-    for (std::size_t i = base; i < std::min(requests.size(), base + batch); ++i) {
-      chunk.push_back(&requests[i]);
-    }
-    std::vector<Bytes> replies;
-    executor.execute(chunk, replies);
-    for (auto& reply : replies) parallel_replies.push_back(std::move(reply));
-  }
-  executor.stop();
-  return {std::move(serial_replies), std::move(parallel_replies)};
 }
 
 // --- classifier contracts -------------------------------------------------
@@ -160,190 +118,6 @@ class ConcurrencyProbeService : public Service {
   std::atomic<int> running_{0};
   std::atomic<int> peak_{0};
 };
-
-TEST(ParallelExecutorTest, ConflictFreeRequestsOverlap) {
-  // The probe sleeps inside execute(), so overlap shows even on one CPU.
-  ConcurrencyProbeService probe(/*conflict_free=*/true);
-  ParallelExecutor executor(parallel_config(4), probe);
-  executor.start();
-  std::vector<Bytes> payloads(64, Bytes{1});
-  const auto requests = make_requests(payloads);
-  std::vector<Bytes> replies;
-  executor.execute(pointers(requests), replies);
-  executor.stop();
-  EXPECT_GT(probe.peak(), 1) << "conflict-free wave never ran concurrently";
-  EXPECT_EQ(replies.size(), 64u);
-}
-
-TEST(ParallelExecutorTest, ConflictingRequestsNeverOverlap) {
-  ConcurrencyProbeService probe(/*conflict_free=*/false);
-  ParallelExecutor executor(parallel_config(4), probe);
-  executor.start();
-  std::vector<Bytes> payloads(64, Bytes{1});
-  const auto requests = make_requests(payloads);
-  std::vector<Bytes> replies;
-  executor.execute(pointers(requests), replies);
-  executor.stop();
-  EXPECT_EQ(probe.peak(), 1) << "conflicting requests overlapped";
-  // All-conflicting degrades to inline execution: no hand-offs at all.
-  EXPECT_EQ(executor.dispatched(), 0u);
-  EXPECT_EQ(executor.inline_execs(), 64u);
-}
-
-TEST(ParallelExecutorTest, RepliesLandInRequestSlots) {
-  // Echo service, conflict-free: whatever the interleaving, reply i must
-  // be the payload of request i.
-  struct Echo : Service {
-    Bytes execute(const Bytes& request) override { return request; }
-    RequestClass classify(const Bytes&) const override {
-      return RequestClass::conflict_free();
-    }
-    Bytes snapshot() const override { return {}; }
-    void install(const Bytes&) override {}
-  } echo;
-  ParallelExecutor executor(parallel_config(3), echo);
-  executor.start();
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 500; ++i) {
-    payloads.push_back(Bytes{static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)});
-  }
-  const auto requests = make_requests(payloads);
-  std::vector<Bytes> replies;
-  executor.execute(pointers(requests), replies);
-  executor.stop();
-  ASSERT_EQ(replies.size(), payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(replies[i], payloads[i]) << "slot " << i;
-  }
-  EXPECT_GT(executor.dispatched(), 0u);
-}
-
-TEST(ParallelExecutorTest, RestartAfterStopStillDispatches) {
-  // stop() closes the worker rings permanently; start() must rebuild
-  // them, or re-spawned workers exit instantly and every wave silently
-  // falls back to inline-serial execution.
-  NullService service;
-  ParallelExecutor executor(parallel_config(2), service);
-  std::vector<Bytes> payloads(32, Bytes{1});
-  const auto requests = make_requests(payloads);
-  std::vector<Bytes> replies;
-  executor.start();
-  executor.execute(pointers(requests), replies);
-  executor.stop();
-  const std::uint64_t dispatched_first = executor.dispatched();
-  EXPECT_GT(dispatched_first, 0u);
-
-  executor.start();
-  executor.execute(pointers(requests), replies);
-  executor.stop();
-  EXPECT_GT(executor.dispatched(), dispatched_first)
-      << "second start() must dispatch to live workers again";
-  EXPECT_EQ(service.executed(), 64u);
-}
-
-TEST(ParallelExecutorTest, UnstartedExecutorFallsBackInline) {
-  NullService service;
-  ParallelExecutor executor(parallel_config(2), service);  // no start()
-  std::vector<Bytes> payloads(10, Bytes{1});
-  const auto requests = make_requests(payloads);
-  std::vector<Bytes> replies;
-  executor.execute(pointers(requests), replies);
-  EXPECT_EQ(replies.size(), 10u);
-  EXPECT_EQ(service.executed(), 10u);
-  EXPECT_EQ(executor.dispatched(), 0u);
-}
-
-// --- determinism: serial vs parallel --------------------------------------
-
-TEST(ExecutorDeterminism, KvMixedWorkloadMatchesSerial) {
-  // A mixed PUT/GET/CAS/DEL stream over a small key space: the parallel
-  // executor must produce byte-identical replies and a byte-identical
-  // final snapshot. Values depend on execution order within a key (PUT
-  // returns the old value), so any ordering bug shows up in the replies.
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 400; ++i) {
-    const std::string key = "k" + std::to_string(i % 7);
-    const auto v = static_cast<std::uint8_t>(i);
-    switch (i % 4) {
-      case 0: payloads.push_back(KvService::make_put(key, Bytes{v})); break;
-      case 1: payloads.push_back(KvService::make_get(key)); break;
-      case 2:
-        payloads.push_back(
-            KvService::make_cas(key, Bytes{static_cast<std::uint8_t>(i - 2)}, Bytes{v}));
-        break;
-      case 3: payloads.push_back(KvService::make_del(key)); break;
-    }
-  }
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    KvService serial, parallel;
-    auto [serial_replies, parallel_replies] = run_both(serial, parallel, payloads, workers);
-    ASSERT_EQ(serial_replies.size(), parallel_replies.size());
-    for (std::size_t i = 0; i < serial_replies.size(); ++i) {
-      ASSERT_EQ(serial_replies[i], parallel_replies[i])
-          << "reply " << i << " diverged with " << workers << " workers";
-    }
-    EXPECT_EQ(serial.snapshot(), parallel.snapshot())
-        << "state diverged with " << workers << " workers";
-  }
-}
-
-TEST(ExecutorDeterminism, ConflictStormOnOneKey) {
-  // Every request writes the same key: the scheduler must fully serialize
-  // in decided order. PUT returns the previous value, so replies form a
-  // chain that breaks loudly on any reordering.
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 300; ++i) {
-    payloads.push_back(KvService::make_put("hot", Bytes{static_cast<std::uint8_t>(i)}));
-  }
-  KvService serial, parallel;
-  auto [serial_replies, parallel_replies] = run_both(serial, parallel, payloads, 4);
-  ASSERT_EQ(serial_replies.size(), parallel_replies.size());
-  for (std::size_t i = 0; i < serial_replies.size(); ++i) {
-    ASSERT_EQ(serial_replies[i], parallel_replies[i]) << "reply " << i;
-  }
-  EXPECT_EQ(serial.snapshot(), parallel.snapshot());
-}
-
-TEST(ExecutorDeterminism, LockServiceFencingTokensMatchSerial) {
-  // Acquire/release/check over several locks and owners: fencing tokens
-  // are drawn from a shared counter, so any acquire reordering diverges.
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 200; ++i) {
-    const std::string name = "L" + std::to_string(i % 5);
-    const std::uint64_t owner = 1 + (i % 3);
-    switch (i % 3) {
-      case 0: payloads.push_back(LockService::make_acquire(name, owner)); break;
-      case 1: payloads.push_back(LockService::make_check(name)); break;
-      case 2: payloads.push_back(LockService::make_release(name, owner)); break;
-    }
-  }
-  LockService serial, parallel;
-  auto [serial_replies, parallel_replies] = run_both(serial, parallel, payloads, 4);
-  ASSERT_EQ(serial_replies.size(), parallel_replies.size());
-  for (std::size_t i = 0; i < serial_replies.size(); ++i) {
-    ASSERT_EQ(serial_replies[i], parallel_replies[i]) << "reply " << i;
-  }
-  EXPECT_EQ(serial.snapshot(), parallel.snapshot());
-}
-
-TEST(ExecutorDeterminism, GlobalRequestsQuiesceTheWave) {
-  // Interleave conflict-free traffic with malformed (global) requests;
-  // the global ones must see all prior effects and block later ones.
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 120; ++i) {
-    if (i % 10 == 9) {
-      payloads.push_back(Bytes{0xFF});  // malformed -> global
-    } else {
-      payloads.push_back(KvService::make_put("k" + std::to_string(i), Bytes{1}));
-    }
-  }
-  KvService serial, parallel;
-  auto [serial_replies, parallel_replies] = run_both(serial, parallel, payloads, 4);
-  for (std::size_t i = 0; i < serial_replies.size(); ++i) {
-    ASSERT_EQ(serial_replies[i], parallel_replies[i]) << "reply " << i;
-  }
-  EXPECT_EQ(serial.snapshot(), parallel.snapshot());
-}
 
 // --- affinity executor ------------------------------------------------------
 
@@ -484,8 +258,7 @@ TEST(AffinityExecutorTest, SameKeyNeverOverlapsAndKeepsDecidedOrder) {
   executor.submit(0, std::move(requests), std::move(classes));
   executor.stop();
   EXPECT_EQ(probe.peak(), 1) << "same-key requests overlapped";
-  // Unlike the wave executor (which runs an all-conflicting wave inline),
-  // the single owning worker executes its slice off its ring.
+  // The single owning worker executes the whole chain off its ring.
   EXPECT_EQ(executor.dispatched(), 64u);
   EXPECT_EQ(io.replies().size(), 64u);
 }
@@ -586,9 +359,11 @@ TEST(AffinityExecutorTest, QuiesceDrainsAndResumeRestarts) {
 // --- determinism: serial vs affinity ----------------------------------------
 
 TEST(AffinityDeterminism, KvMixedWorkloadMatchesSerial) {
-  // Same mixed PUT/GET/CAS/DEL stream as the wave suite: replies are
-  // compared by (client, seq) — affinity reply ORDER is unconstrained
-  // across keys — and final snapshots must be byte-identical.
+  // A mixed PUT/GET/CAS/DEL stream over a small key space. Values depend
+  // on execution order within a key (PUT returns the old value), so any
+  // ordering bug shows up in the replies. Replies are compared by
+  // (client, seq) — affinity reply ORDER is unconstrained across keys —
+  // and final snapshots must be byte-identical.
   std::vector<Bytes> payloads;
   for (int i = 0; i < 400; ++i) {
     const std::string key = "k" + std::to_string(i % 7);
@@ -720,14 +495,12 @@ TEST(ServiceManagerExec, StopBeforeStartIsANoOp) {
   ManagerRig rig("serial");
   rig.manager->stop();  // must not touch the never-started thread
   rig.manager->stop();
-  ManagerRig parallel_rig("parallel");
-  parallel_rig.manager->stop();
   ManagerRig affinity_rig("affinity");
   affinity_rig.manager->stop();
 }
 
 TEST(ServiceManagerExec, UndecodableBatchCountsItsInstance) {
-  for (const char* impl : {"serial", "parallel", "affinity"}) {
+  for (const char* impl : {"serial", "affinity"}) {
     ManagerRig rig(impl);
     std::vector<paxos::Request> good = {{1, 1, KvService::make_put("k", Bytes{9})}};
     rig.run({Decision{0, Bytes{0xDE, 0xAD}},  // undecodable
@@ -741,9 +514,9 @@ TEST(ServiceManagerExec, UndecodableBatchCountsItsInstance) {
 TEST(ServiceManagerExec, StaleLowerSeqInSameBatchIsSkippedLikeSerial) {
   // A view-change re-decide can land an OLD (client, seq) after a newer
   // one inside a single batch. The serial path skips it via the
-  // per-request cache check (seq <= last executed); the parallel batch
+  // per-request cache check (seq <= last executed); the affinity batch
   // pre-filter must agree, or replicas configured differently diverge.
-  for (const char* impl : {"serial", "parallel", "affinity"}) {
+  for (const char* impl : {"serial", "affinity"}) {
     ManagerRig rig(impl);
     std::vector<paxos::Request> batch = {
         {7, 5, KvService::make_put("k", Bytes{1})},
@@ -758,33 +531,9 @@ TEST(ServiceManagerExec, StaleLowerSeqInSameBatchIsSkippedLikeSerial) {
   }
 }
 
-TEST(ServiceManagerExec, ParallelMatchesSerialAcrossBatches) {
-  const auto feed = [](ManagerRig& rig) {
-    std::vector<DecisionEvent> events;
-    for (int b = 0; b < 10; ++b) {
-      std::vector<paxos::Request> batch;
-      for (int i = 0; i < 8; ++i) {
-        const int n = b * 8 + i;
-        batch.push_back({static_cast<paxos::ClientId>(n + 1), 1,
-                         KvService::make_put("k" + std::to_string(n % 5),
-                                             Bytes{static_cast<std::uint8_t>(n)})});
-      }
-      events.push_back(Decision{static_cast<paxos::InstanceId>(b), paxos::encode_batch(batch)});
-    }
-    rig.run(std::move(events));
-  };
-  ManagerRig serial("serial"), parallel("parallel");
-  feed(serial);
-  feed(parallel);
-  EXPECT_EQ(serial.kv.snapshot(), parallel.kv.snapshot());
-  EXPECT_EQ(serial.manager->executed_instances(), parallel.manager->executed_instances());
-  EXPECT_EQ(serial.shared.executed_requests.load(), parallel.shared.executed_requests.load());
-  EXPECT_EQ(serial.io.replies(), parallel.io.replies()) << "reply order must match";
-}
-
 TEST(ServiceManagerExec, AffinityMatchesSerialAcrossBatches) {
-  // Same feed as above through executor_impl=affinity. Replies are
-  // compared as a SET — workers complete out of order across keys; the
+  // The same decided batches through executor_impl=serial and =affinity.
+  // Replies are compared as a SET — workers complete out of order across keys; the
   // state manifest and per-request reply coverage must still be identical.
   const auto feed = [](ManagerRig& rig) {
     std::vector<DecisionEvent> events;

@@ -249,7 +249,7 @@ TEST(PartitionedCluster, SameStateAcrossPartitionCountsAndExecutors) {
   EXPECT_EQ(expected.at("key4"), Bytes{99}) << "CAS must hold";
 
   for (std::uint32_t partitions : {2u, 4u}) {
-    for (const char* executor : {"serial", "parallel"}) {
+    for (const char* executor : {"serial", "affinity"}) {
       Config config;
       config.num_partitions = partitions;
       config.apply_overrides({{"executor_impl", executor}});

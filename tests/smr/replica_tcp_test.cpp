@@ -14,11 +14,11 @@ namespace mcsmr::smr {
 namespace {
 
 struct TcpCluster {
-  // MCSMR_QUEUE_IMPL (see sim_cluster.hpp) selects the hot-path queue
-  // implementation, so the CTest matrix covers the legacy reply path
-  // over real sockets too.
+  // The CTest matrix variables (see sim_cluster.hpp) apply here too, so
+  // the mutex-backed reply queues and the partitioned replica are covered
+  // over real sockets.
   explicit TcpCluster(Config config, std::uint16_t peer_base_port)
-      : config_(testing::apply_queue_impl_env(config)) {
+      : config_(testing::apply_matrix_env(config)) {
     std::vector<std::thread> builders;
     replicas_.resize(static_cast<std::size_t>(config.n));
     for (int id = 0; id < config.n; ++id) {

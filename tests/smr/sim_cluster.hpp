@@ -1,12 +1,12 @@
 // Integration-test fixture: a full SimNet cluster of real threaded
 // replicas plus helper accessors.
 //
-// Five environment variables parameterize every cluster built here, and
-// tests/CMakeLists.txt registers the replica_sim and chaos binaries extra
-// times with them set, so tier-1 exercises the full matrix:
+// Five environment variables parameterize every cluster built here (and
+// the TCP fixture), and tests/CMakeLists.txt registers the replica_sim,
+// chaos and replica_tcp binaries extra times with them set, so tier-1
+// exercises the full matrix:
 //   MCSMR_QUEUE_IMPL    ("mutex" | "ring")      -> Config::queue_impl
-//   MCSMR_EXECUTOR_IMPL ("serial" | "parallel" | "affinity")
-//                                               -> Config::executor_impl
+//   MCSMR_EXECUTOR_IMPL ("serial" | "affinity") -> Config::executor_impl
 //   MCSMR_PARTITIONS    ("1", "2", ...)         -> Config::num_partitions
 //   MCSMR_LOG_STORAGE   ("memory" | "segment")  -> Config::log_storage
 //   MCSMR_READ_PATH     ("consensus" | "lease") -> Config::read_path
@@ -34,8 +34,8 @@
 namespace mcsmr::smr::testing {
 
 /// Apply the MCSMR_QUEUE_IMPL / MCSMR_EXECUTOR_IMPL / MCSMR_PARTITIONS /
-/// MCSMR_LOG_STORAGE overrides (if set).
-inline Config apply_queue_impl_env(Config config) {
+/// MCSMR_LOG_STORAGE / MCSMR_READ_PATH overrides (if set).
+inline Config apply_matrix_env(Config config) {
   if (const char* impl = std::getenv("MCSMR_QUEUE_IMPL")) {
     config.apply_overrides({{"queue_impl", impl}});
   }
@@ -82,7 +82,7 @@ class SimCluster {
   explicit SimCluster(Config config, net::SimNetParams net_params = fast_net(),
                       ServiceFactory factory = [] { return std::make_unique<NullService>(); },
                       ConfigTweak tweak = nullptr)
-      : config_(apply_queue_impl_env(config)), net_(net_params), factory_(std::move(factory)),
+      : config_(apply_matrix_env(config)), net_(net_params), factory_(std::move(factory)),
         tweak_(std::move(tweak)) {
     if (config_.log_storage == StorageImpl::kSegment &&
         config_.log_dir == Config{}.log_dir) {
