@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
+#include <utility>
 
 namespace mcsmr::metrics {
 
@@ -135,6 +137,38 @@ double ThreadRegistry::total_blocked_frac(std::uint64_t wall_ns) const {
     total_blocked += static_cast<double>(snap.blocked_ns);
   }
   return total_blocked / static_cast<double>(wall_ns);
+}
+
+std::string os_thread_name(const std::string& name) {
+  constexpr std::size_t kMax = 15;  // TASK_COMM_LEN - 1
+  // The replica's module names that do not fit behind an "r<id>/" prefix.
+  static constexpr std::pair<std::string_view, std::string_view> kShort[] = {
+      {"ReplicaIORcv", "IORcv"}, {"ReplicaIOSnd", "IOSnd"}, {"ClientIOAccept", "CIOAccept"},
+      {"Retransmitter", "Retx"}, {"FailureDetector", "FD"},
+  };
+  const std::size_t slash = name.rfind('/');
+  const std::string prefix = slash == std::string::npos ? "" : name.substr(0, slash + 1);
+  std::string module = name.substr(prefix.size());
+  std::string suffix;
+  if (const std::size_t dash = module.rfind('-'); dash != std::string::npos) {
+    suffix = module.substr(dash);
+    module.resize(dash);
+  }
+  for (const auto& [full, abbrev] : kShort) {
+    if (module == full) {
+      module = abbrev;
+      break;
+    }
+  }
+  std::string out = prefix + module + suffix;
+  if (out.size() <= kMax) return out;
+  const std::size_t fixed = prefix.size() + suffix.size();
+  if (fixed < kMax) return prefix + module.substr(0, kMax - fixed) + suffix;
+  return out.substr(out.size() - kMax);  // keep the most specific tail
+}
+
+void NamedThread::set_os_thread_name(const std::string& name) {
+  pthread_setname_np(pthread_self(), os_thread_name(name).c_str());
 }
 
 std::string format_thread_table(const std::vector<ThreadStateSnapshot>& snaps) {

@@ -184,8 +184,16 @@ class InstrumentedMutex {
   std::mutex mu_;
 };
 
+/// The OS thread name for `name`, within Linux's 15-character limit so
+/// per-thread /proc accounting (scripts/thread_cpu.py) can tell threads
+/// apart. Long module names are abbreviated ("r0/ReplicaIORcv-2" ->
+/// "r0/IORcv-2"); anything still too long keeps its "r<id>/" prefix and
+/// "-<index>" suffix and loses the end of the module name.
+std::string os_thread_name(const std::string& name);
+
 /// std::thread wrapper that registers the thread with the global registry
-/// under a fixed name, finalizes stats at exit, and joins on destruction
+/// under a fixed name (also set as the OS thread name, see
+/// os_thread_name), finalizes stats at exit, and joins on destruction
 /// (CppCoreGuidelines CP.25/CP.26: joining threads, never detach).
 class NamedThread {
  public:
@@ -195,6 +203,7 @@ class NamedThread {
   NamedThread(std::string name, Fn&& fn) {
     thread_ = std::thread(
         [name = std::move(name), fn = std::forward<Fn>(fn)]() mutable {
+          set_os_thread_name(name);
           auto stats = ThreadRegistry::instance().register_current(name);
           fn();
           stats->finalize();
@@ -219,6 +228,8 @@ class NamedThread {
   bool joinable() const { return thread_.joinable(); }
 
  private:
+  static void set_os_thread_name(const std::string& name);
+
   std::thread thread_;
 };
 

@@ -304,8 +304,14 @@ void Engine::handle_propose(ReplicaId from, const Propose& m, std::vector<Effect
     }
   }
 
-  // Broadcast our acceptance to every replica (learners count votes).
-  out.push_back(BroadcastMsg{Accept{m.view, m.instance}});
+  // At quorum 2 the Propose already completes every follower's quorum
+  // (leader's vote + its own), so only the proposer still needs our vote.
+  // Larger quorums need the other followers' Accepts too: broadcast.
+  if (config_.quorum() <= 2) {
+    out.push_back(SendTo{from, Accept{m.view, m.instance}});
+  } else {
+    out.push_back(BroadcastMsg{Accept{m.view, m.instance}});
+  }
 
   // The proposal implies the leader's acceptance; count both votes.
   record_vote(m.instance, m.view, from, out);

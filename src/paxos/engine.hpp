@@ -20,12 +20,15 @@
 //     for every open instance, gaps are filled with no-op batches, and new
 //     batches may then be proposed into the pipelining window (WND).
 //   * Propose(view, instance, batch) implies the leader's own acceptance;
-//     every acceptor that accepts broadcasts Accept(view, instance) to all
-//     replicas. Any replica that holds the value accepted in view v and
-//     observes a quorum of acceptances for v decides the instance — the
-//     leader thus decides after its own accept plus quorum-1 Accepts,
-//     matching the paper's "at least one Phase 2b from another replica"
-//     for n=3 (§VI-D2).
+//     every acceptor that accepts answers with Accept(view, instance). Any
+//     replica that holds the value accepted in view v and observes a
+//     quorum of acceptances for v decides the instance — the leader thus
+//     decides after its own accept plus quorum-1 Accepts, matching the
+//     paper's "at least one Phase 2b from another replica" for n=3
+//     (§VI-D2). At quorum 2 (n = 2, 3) a follower's quorum is complete on
+//     the Propose alone, so its Accept goes to the proposer only: 2(n-1)
+//     peer messages per instance. At quorum >= 3 followers still need
+//     each other's votes and the Accept is broadcast: n(n-1) messages.
 //   * Decided instances are delivered in log order. Lagging replicas pull
 //     decided values via CatchupQuery; if the peer already truncated its
 //     log, it answers with a SnapshotOffer (state transfer).

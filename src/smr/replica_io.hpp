@@ -3,12 +3,13 @@
 // For every other replica p there is a ReplicaIORcv-p thread (reads and
 // deserializes frames from p, stamps the failure-detector timestamp, and
 // pushes the decoded message on the DispatcherQueue) and a ReplicaIOSnd-p
-// thread (drains p's SendQueue, serializing and writing). The dedicated
-// sender both offloads serialization from the Protocol thread and keeps
-// it from ever blocking on a slow or dead peer's socket — a full
-// SendQueue is detected with try_push and the frame is dropped, exactly
-// the paper's remedy for the distributed-deadlock hazard; end-to-end
-// retransmission recovers the loss.
+// thread (drains p's SendQueue and writes the frames). send()/broadcast()
+// encode on the caller's thread — once per message, not once per peer —
+// and only enqueue the bytes. The dedicated sender keeps the caller from
+// ever blocking on a slow or dead peer's socket — a full SendQueue is
+// detected with try_push and the frame is dropped, exactly the paper's
+// remedy for the distributed-deadlock hazard; end-to-end retransmission
+// recovers the loss.
 //
 // Partitioned replicas (Config::num_partitions > 1) share ONE ReplicaIo —
 // per-peer sockets and send queues are a replica-level resource. Each

@@ -1,6 +1,7 @@
 #include "smr/retransmitter.hpp"
 
 #include <chrono>
+#include <queue>
 
 namespace mcsmr::smr {
 
@@ -41,11 +42,18 @@ void Retransmitter::schedule(std::uint64_t key, paxos::Message message) {
   by_key_[key] = entry;
   armed_.fetch_add(1, std::memory_order_relaxed);
 
+  // Hand the entry over; wake the thread only if it is asleep until a
+  // later deadline. With a fixed timeout deadlines arrive in order, so
+  // the common case is no wake: the thread finds the entry when it next
+  // wakes up anyway.
+  bool wake = false;
   {
     std::lock_guard<std::mutex> guard(mu_);
-    heap_.push(Pending{mono_ns() + config_.retransmit_timeout_ns, std::move(entry)});
+    const std::uint64_t deadline = mono_ns() + config_.retransmit_timeout_ns;
+    wake = deadline < sleeping_until_ns_;
+    incoming_.push_back(Pending{deadline, std::move(entry)});
   }
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
 }
 
 void Retransmitter::cancel(std::uint64_t key) {
@@ -67,30 +75,53 @@ void Retransmitter::cancel_all() {
 }
 
 void Retransmitter::run() {
+  // The heap is this thread's own: mu_ guards only the hand-off of new
+  // entries and the sleep deadline, so schedule() never waits behind the
+  // heap work below.
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap;
+  std::vector<Pending> arrived;
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
-    if (heap_.empty()) {
-      metrics::WaitingTimer timer;
-      cv_.wait(lock, [this] { return stopping_ || !heap_.empty(); });
-      continue;
-    }
-    const std::uint64_t now = mono_ns();
-    if (heap_.top().deadline_ns > now) {
-      metrics::WaitingTimer timer;
-      cv_.wait_for(lock, std::chrono::nanoseconds(heap_.top().deadline_ns - now));
-      continue;
-    }
-    Pending item = heap_.top();
-    heap_.pop();
-    if (item.entry->cancelled.load(std::memory_order_relaxed)) continue;  // lazy drop
-
+    arrived.swap(incoming_);
     lock.unlock();
-    replica_io_.broadcast(item.entry->message);
-    resends_.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
+    for (Pending& item : arrived) heap.push(std::move(item));
+    arrived.clear();
 
-    item.deadline_ns = mono_ns() + config_.retransmit_timeout_ns;
-    heap_.push(std::move(item));
+    // Lazy drop of cancelled entries before sleeping: otherwise each one's
+    // deadline would still cost a wake-up. Resend whatever is due.
+    std::uint64_t now = mono_ns();
+    while (!heap.empty()) {
+      if (heap.top().entry->cancelled.load(std::memory_order_relaxed)) {
+        heap.pop();
+        continue;
+      }
+      if (heap.top().deadline_ns > now) break;
+      Pending item = heap.top();
+      heap.pop();
+      replica_io_.broadcast(item.entry->message);
+      resends_.fetch_add(1, std::memory_order_relaxed);
+      now = mono_ns();
+      item.deadline_ns = now + config_.retransmit_timeout_ns;
+      heap.push(std::move(item));
+    }
+    const std::uint64_t next = heap.empty() ? kNever : heap.top().deadline_ns;
+
+    lock.lock();
+    const auto woken = [this] { return stopping_ || !incoming_.empty(); };
+    if (woken()) continue;
+    now = mono_ns();
+    if (next <= now) continue;
+    sleeping_until_ns_ = next;
+    {
+      metrics::WaitingTimer timer;
+      if (next == kNever) {
+        cv_.wait(lock, woken);
+      } else {
+        cv_.wait_for(lock, std::chrono::nanoseconds(next - now), woken);
+      }
+    }
+    sleeping_until_ns_ = 0;
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -2,15 +2,21 @@
 // eventually delivered (needed even over TCP — frames die with broken
 // connections and with full SendQueues).
 //
-// Design follows the paper exactly:
-//   * a deadline-ordered queue of pending retransmissions, consumed by a
-//     dedicated thread;
-//   * schedule() (Protocol thread, on first send) inserts under a brief
-//     lock;
-//   * cancel() — the hot path, executed for every message once its
-//     instance decides — takes NO lock and does NOT wake the thread: it
-//     just sets an atomic flag; the thread drops the entry lazily when the
-//     deadline fires.
+// Design follows the paper:
+//   * a deadline-ordered queue of pending retransmissions, owned and
+//     consumed by a dedicated thread;
+//   * schedule() (Protocol thread, on first send) hands the entry over
+//     under a brief lock and wakes the thread only when it sleeps until a
+//     later deadline — with a fixed timeout and a live entry already
+//     armed, it never does;
+//   * cancel() — executed for every message once its instance decides —
+//     takes NO lock and does NOT wake the thread: it just sets an atomic
+//     flag; the thread drops cancelled entries lazily, popping them off
+//     its heap before it goes back to sleep.
+// So while proposals decide within the timeout, the thread wakes about
+// once per timeout period, not once per message. Each wake-up then drops
+// a timeout's worth of cancelled entries (thousands under load); that
+// sweep holds no lock, so it never stalls schedule().
 // The key->entry index is touched only by the Protocol thread, so it
 // needs no synchronization at all.
 #pragma once
@@ -19,8 +25,8 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <unordered_map>
+#include <vector>
 
 #include "metrics/thread_stats.hpp"
 #include "paxos/messages.hpp"
@@ -36,7 +42,8 @@ class Retransmitter {
   void start();
   void stop();
 
-  /// Protocol thread only: arm periodic re-broadcast of `message`.
+  /// Protocol thread only: arm periodic re-broadcast of `message`. Wakes
+  /// the thread only if it sleeps until a later deadline.
   void schedule(std::uint64_t key, paxos::Message message);
 
   /// Protocol thread only: lock-free cancel (atomic flag, no wake-up).
@@ -48,6 +55,8 @@ class Retransmitter {
   /// Armed (not yet cancelled) entries; monitoring only.
   std::size_t armed() const { return armed_.load(std::memory_order_relaxed); }
   std::uint64_t resends() const { return resends_.load(std::memory_order_relaxed); }
+  /// Times the thread woke from a wait (timeout or notify); monitoring only.
+  std::uint64_t wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
 
  private:
   struct Entry {
@@ -72,16 +81,22 @@ class Retransmitter {
   // Protocol-thread-private index (single caller; no lock by design).
   std::unordered_map<std::uint64_t, std::shared_ptr<Entry>> by_key_;
 
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
   // lint:allow(raw-sync): timed sleep-with-early-wake of a periodic
-  // thread, not a data hand-off edge — no queue semantics apply.
+  // thread; handing over an entry must never block the Protocol thread.
   std::mutex mu_;
   std::condition_variable cv_;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap_;
+  std::vector<Pending> incoming_;  ///< scheduled, not yet in the thread's heap
+  /// Deadline the thread sleeps until; 0 while it is awake (it then checks
+  /// incoming_ before sleeping, so schedule() need not wake it).
+  std::uint64_t sleeping_until_ns_ = 0;
   bool stopping_ = false;
   bool started_ = false;
 
   std::atomic<std::size_t> armed_{0};
   std::atomic<std::uint64_t> resends_{0};
+  std::atomic<std::uint64_t> wakeups_{0};
 
   metrics::NamedThread thread_;
 };

@@ -108,6 +108,10 @@ void SimClientIo::io_loop(int thread_index) {
 
 void SimClientIo::send_reply(paxos::ClientId client, paxos::RequestSeq seq,
                              ReplyStatus status, const Bytes& payload) {
+  // No route: the client never sent to this replica (a follower executing
+  // the leader's traffic). Skip the hand-off instead of waking an IO
+  // thread just to drop the reply there, as TcpClientIo does.
+  if (!reply_nodes_.get(client).has_value()) return;
   const int t = thread_for_client(client);
   // Bounded wait, then a counted drop: blocking here forever would close
   // a deadlock cycle (ServiceManager -> reply queue -> IO thread ->

@@ -8,8 +8,10 @@
 // performs the network send. Each IO thread owns a reply queue (Fig 3);
 // the ServiceManager pushes frames and injects one empty wake message per
 // burst (edge-triggered via an atomic flag), so a batch of B replies costs
-// B queue ops + 1 inbox hand-off. Config::queue_impl picks the queue's
-// backend (lock-free ring or the paper's mutex queue; see backend_for()).
+// B queue ops + 1 inbox hand-off. A reply for a client with no known route
+// (one that never sent to this replica) is dropped before the hand-off.
+// Config::queue_impl picks the queue's backend (lock-free ring or the
+// paper's mutex queue; see backend_for()).
 #pragma once
 
 #include <vector>

@@ -1,6 +1,7 @@
 #include "metrics/thread_stats.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -185,6 +186,30 @@ TEST(ThreadStats, TotalBlockedFraction) {
   const double frac = ThreadRegistry::instance().total_blocked_frac(100 * kMillis);
   EXPECT_GE(frac, 0.30);
   EXPECT_LE(frac, 0.60);
+}
+
+TEST(ThreadStats, OsThreadNameFitsAndKeepsReplicaAndIndex) {
+  EXPECT_EQ(os_thread_name("r0/Protocol"), "r0/Protocol");
+  EXPECT_EQ(os_thread_name("r0/ReplicaIORcv-2"), "r0/IORcv-2");
+  EXPECT_EQ(os_thread_name("r1/p3/ReplicaIOSnd-0"), "r1/p3/IOSnd-0");
+  EXPECT_EQ(os_thread_name("r2/ClientIOAccept"), "r2/CIOAccept");
+  EXPECT_EQ(os_thread_name("r2/ClientIO-11"), "r2/ClientIO-11");
+  EXPECT_EQ(os_thread_name("r1/p2/Retransmitter"), "r1/p2/Retx");
+  EXPECT_EQ(os_thread_name("burner"), "burner");
+  // Long module without an abbreviation: prefix and index survive, the
+  // middle goes.
+  EXPECT_EQ(os_thread_name("r1/p2/AffWorker-3"), "r1/p2/AffWork-3");
+  EXPECT_LE(os_thread_name("a-very-long-prefix/with/Module-123456789012345").size(), 15u);
+}
+
+TEST(ThreadStats, NamedThreadSetsOsName) {
+  char os_name[16] = {};
+  {
+    NamedThread t("r1/ReplicaIORcv-0", [&] {
+      pthread_getname_np(pthread_self(), os_name, sizeof os_name);
+    });
+  }
+  EXPECT_STREQ(os_name, "r1/IORcv-0");
 }
 
 }  // namespace

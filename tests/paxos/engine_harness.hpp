@@ -108,11 +108,15 @@ class Cluster {
           [&](auto& e) {
             using T = std::decay_t<decltype(e)>;
             if constexpr (std::is_same_v<T, SendTo>) {
-              if (e.to != self) pending_.push_back({self, e.to, std::move(e.message)});
+              if (e.to != self) {
+                pending_.push_back({self, e.to, std::move(e.message)});
+                ++peer_messages_;
+              }
             } else if constexpr (std::is_same_v<T, BroadcastMsg>) {
               for (int to = 0; to < config_.n; ++to) {
                 if (static_cast<ReplicaId>(to) != self) {
                   pending_.push_back({self, static_cast<ReplicaId>(to), e.message});
+                  ++peer_messages_;
                 }
               }
             } else if constexpr (std::is_same_v<T, Deliver>) {
@@ -138,6 +142,10 @@ class Cluster {
   }
 
   std::size_t pending_count() const { return pending_.size(); }
+
+  /// Peer messages the engines have sent (one per addressee) so far;
+  /// harness-fired retransmissions are not counted.
+  std::size_t peer_messages() const { return peer_messages_; }
 
   /// Deliver pending message at `index` (default: oldest first).
   void deliver_one(std::size_t index = 0) {
@@ -243,6 +251,7 @@ class Cluster {
   std::vector<std::unique_ptr<LogStorage>> storages_;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::deque<PendingMessage> pending_;
+  std::size_t peer_messages_ = 0;
   std::vector<std::vector<DeliveredEntry>> delivered_;
   std::vector<std::map<std::uint64_t, Message>> retransmits_;
   std::map<ReplicaId, std::vector<InstanceId>> snapshots_installed_;

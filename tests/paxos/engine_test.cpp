@@ -13,6 +13,50 @@ Bytes batch_of(std::uint8_t marker) {
   return encode_batch({Request{marker, 1, Bytes{marker}}});
 }
 
+/// The Accepts among an engine's effects: addressees of SendTo{Accept}
+/// and the number of BroadcastMsg{Accept}.
+struct AcceptEffects {
+  std::vector<ReplicaId> sent_to;
+  int broadcasts = 0;
+  bool delivered = false;
+};
+AcceptEffects accepts_in(const std::vector<Effect>& effects) {
+  AcceptEffects found;
+  for (const auto& effect : effects) {
+    if (const auto* send = std::get_if<SendTo>(&effect)) {
+      if (std::holds_alternative<Accept>(send->message)) found.sent_to.push_back(send->to);
+    } else if (const auto* broadcast = std::get_if<BroadcastMsg>(&effect)) {
+      if (std::holds_alternative<Accept>(broadcast->message)) ++found.broadcasts;
+    } else if (std::holds_alternative<Deliver>(effect)) {
+      found.delivered = true;
+    }
+  }
+  return found;
+}
+
+/// Take the first pending message matching `pred` off the network and
+/// hand it to its addressee; returns the effects it produced (already
+/// absorbed into the cluster, so their messages are pending).
+template <typename Pred>
+AcceptEffects deliver_first(Cluster& cluster, Pred pred) {
+  for (std::size_t i = 0; i < cluster.pending_count(); ++i) {
+    const testing::PendingMessage pm = cluster.pending()[i];
+    if (!pred(pm)) continue;
+    cluster.drop_one(i);
+    std::vector<Effect> out;
+    cluster.engine(pm.to).on_message(pm.from, pm.message, out);
+    AcceptEffects found = accepts_in(out);
+    cluster.absorb(pm.to, out);
+    return found;
+  }
+  ADD_FAILURE() << "no pending message matched";
+  return {};
+}
+
+bool is_propose_to(const testing::PendingMessage& pm, ReplicaId to) {
+  return pm.to == to && std::holds_alternative<Propose>(pm.message);
+}
+
 TEST(Engine, InitialLeaderElection) {
   Cluster cluster(3);
   cluster.start();
@@ -112,6 +156,117 @@ TEST(Engine, LeaderDecidesAfterOnePhase2b) {
   }
   EXPECT_EQ(cluster.delivered(0).size(), 1u)
       << "leader must decide from a single follower's 2b";
+}
+
+TEST(Engine, FollowerAcceptGoesToProposerOnlyAtQuorumTwo) {
+  // n=3: the Propose carries the leader's vote, the follower adds its own
+  // — quorum 2 — so the other follower needs nothing from it.
+  Cluster cluster(3);
+  cluster.start();
+  cluster.settle();
+  ASSERT_TRUE(cluster.offer_batch(0, batch_of(4)));
+  const AcceptEffects effects =
+      deliver_first(cluster, [](const auto& pm) { return is_propose_to(pm, 1); });
+  EXPECT_EQ(effects.sent_to, std::vector<ReplicaId>{0});
+  EXPECT_EQ(effects.broadcasts, 0);
+  EXPECT_TRUE(effects.delivered) << "follower decides on the Propose alone";
+  ASSERT_EQ(cluster.delivered(1).size(), 1u);
+  EXPECT_EQ(decode_batch(cluster.delivered(1)[0].value)[0].payload, Bytes{4});
+}
+
+TEST(Engine, LeaderDecidesOnFirstAcceptAndIgnoresSecond) {
+  Cluster cluster(3);
+  cluster.start();
+  cluster.settle();
+  ASSERT_TRUE(cluster.offer_batch(0, batch_of(6)));
+  deliver_first(cluster, [](const auto& pm) { return is_propose_to(pm, 1); });
+  deliver_first(cluster, [](const auto& pm) { return is_propose_to(pm, 2); });
+  ASSERT_EQ(cluster.pending_count(), 2u) << "exactly the two Accepts to the leader";
+  for (const auto& pm : cluster.pending()) {
+    EXPECT_EQ(pm.to, 0u);
+    EXPECT_TRUE(std::holds_alternative<Accept>(pm.message));
+  }
+  const AcceptEffects first = deliver_first(cluster, [](const auto&) { return true; });
+  EXPECT_TRUE(first.delivered);
+  const AcceptEffects second = deliver_first(cluster, [](const auto&) { return true; });
+  EXPECT_FALSE(second.delivered);
+  EXPECT_EQ(cluster.delivered(0).size(), 1u);
+  EXPECT_EQ(cluster.pending_count(), 0u);
+}
+
+TEST(Engine, ReproposalAcceptGoesToNewViewLeader) {
+  // The old leader accepted instance 0 but nobody else saw it; replica 1
+  // takes over, learns the value from the old leader's PrepareOk and
+  // re-proposes it in view 1. Accepts must now go to replica 1.
+  Cluster cluster(3);
+  cluster.start();
+  cluster.settle();
+  ASSERT_TRUE(cluster.offer_batch(0, batch_of(8)));
+  while (cluster.pending_count() > 0) cluster.drop_one(0);
+  cluster.suspect(1);
+  std::vector<AcceptEffects> reproposal_accepts;
+  for (std::size_t steps = 0; cluster.pending_count() > 0 && steps < 100; ++steps) {
+    const auto* propose = std::get_if<Propose>(&cluster.pending()[0].message);
+    if (propose != nullptr && propose->view == 1) {
+      reproposal_accepts.push_back(deliver_first(cluster, [](const auto&) { return true; }));
+    } else {
+      cluster.deliver_one();
+    }
+  }
+  ASSERT_TRUE(cluster.engine(1).is_leader());
+  ASSERT_EQ(reproposal_accepts.size(), 2u) << "one re-proposal to each of replicas 0 and 2";
+  for (const auto& effects : reproposal_accepts) {
+    EXPECT_EQ(effects.sent_to, std::vector<ReplicaId>{1});
+    EXPECT_EQ(effects.broadcasts, 0);
+  }
+  for (ReplicaId id = 0; id < 3; ++id) {
+    ASSERT_EQ(cluster.delivered(id).size(), 1u) << "replica " << id;
+    EXPECT_EQ(decode_batch(cluster.delivered(id)[0].value)[0].payload, Bytes{8});
+  }
+}
+
+TEST(Engine, AcceptStillBroadcastAtQuorumThree) {
+  // n=5, quorum 3: leader + self is not enough, so a follower needs one
+  // more follower's Accept and every follower must broadcast its own.
+  Cluster cluster(5);
+  cluster.start();
+  cluster.settle();
+  ASSERT_TRUE(cluster.offer_batch(0, batch_of(5)));
+  const AcceptEffects at_1 =
+      deliver_first(cluster, [](const auto& pm) { return is_propose_to(pm, 1); });
+  EXPECT_TRUE(at_1.sent_to.empty());
+  EXPECT_EQ(at_1.broadcasts, 1);
+  EXPECT_FALSE(at_1.delivered) << "two votes are not a quorum of five";
+  const AcceptEffects at_2 =
+      deliver_first(cluster, [](const auto& pm) { return is_propose_to(pm, 2); });
+  EXPECT_EQ(at_2.broadcasts, 1);
+  EXPECT_FALSE(at_2.delivered);
+  // Replica 2's Accept is the third vote replica 1 was missing.
+  const AcceptEffects third = deliver_first(cluster, [](const auto& pm) {
+    return pm.from == 2 && pm.to == 1 && std::holds_alternative<Accept>(pm.message);
+  });
+  EXPECT_TRUE(third.delivered);
+  EXPECT_EQ(cluster.delivered(1).size(), 1u);
+}
+
+TEST(Engine, PeerMessagesPerDecidedInstance) {
+  // n=3: 2 Proposes + 2 Accepts (to the leader only). n=5: 4 Proposes +
+  // 4 followers x 4 broadcast Accepts.
+  for (const auto& [n, per_instance] : {std::pair{3, 4u}, std::pair{5, 20u}}) {
+    Cluster cluster(n, /*window=*/16);
+    cluster.start();
+    cluster.settle();
+    const std::size_t before = cluster.peer_messages();
+    constexpr int kInstances = 10;
+    for (int i = 0; i < kInstances; ++i) {
+      ASSERT_TRUE(cluster.offer_batch(0, batch_of(static_cast<std::uint8_t>(i))));
+    }
+    cluster.settle();
+    for (ReplicaId id = 0; id < static_cast<ReplicaId>(n); ++id) {
+      ASSERT_EQ(cluster.delivered(id).size(), static_cast<std::size_t>(kInstances));
+    }
+    EXPECT_EQ(cluster.peer_messages() - before, per_instance * kInstances) << "n=" << n;
+  }
 }
 
 TEST(Engine, ViewChangeElectsNextReplica) {
@@ -231,10 +386,9 @@ TEST(Engine, StaleMessagesIgnored) {
   // A stale Propose from the deposed leader's view must be rejected.
   std::vector<Effect> out;
   cluster.engine(2).on_message(0, Propose{0, 50, batch_of(66)}, out);
-  for (const auto& effect : out) {
-    EXPECT_FALSE(std::holds_alternative<BroadcastMsg>(effect))
-        << "stale propose must not be accepted";
-  }
+  const AcceptEffects effects = accepts_in(out);
+  EXPECT_TRUE(effects.sent_to.empty() && effects.broadcasts == 0)
+      << "stale propose must not be accepted";
 }
 
 TEST(Engine, DuplicateMessagesAreIdempotent) {

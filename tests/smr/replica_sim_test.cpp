@@ -334,6 +334,32 @@ TEST(ReplicaSim, RingReplyPathBatchesWakeups) {
   }
 }
 
+TEST(ReplicaSim, FollowersSkipReplyHandOffForUnknownClients) {
+  // Followers execute every request too, but the client only talks to
+  // the leader: a follower has no route to it and must drop the reply
+  // before the ClientIO hand-off, not wake an IO thread to drop it there.
+  SimCluster cluster(Config{});
+  cluster.start();
+  ASSERT_TRUE(cluster.wait_for_leader().has_value());
+  auto client = cluster.make_client(91);
+  constexpr std::uint64_t kCalls = 40;
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(client.call(Bytes{static_cast<std::uint8_t>(i)}).has_value()) << i;
+  }
+  const std::uint64_t deadline = mono_ns() + 5 * kSeconds;
+  while (mono_ns() < deadline && (cluster.replica(1).executed_requests() < kCalls ||
+                                  cluster.replica(2).executed_requests() < kCalls)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(cluster.replica(0).shared().reply_wakeups.load(), 0u);
+  for (ReplicaId id = 1; id < 3; ++id) {
+    ASSERT_GE(cluster.replica(id).executed_requests(), kCalls) << "replica " << id;
+    EXPECT_EQ(cluster.replica(id).shared().reply_wakeups.load(), 0u) << "replica " << id;
+    EXPECT_EQ(cluster.replica(id).shared().dropped_replies.load(), 0u) << "replica " << id;
+  }
+  cluster.stop();
+}
+
 TEST(ReplicaSim, KvHistoryIsLinearizable) {
   // A mixed PUT/GET swarm with every operation logged, then replayed
   // through the Wing–Gong checker. Rides the whole CTest matrix — queue
