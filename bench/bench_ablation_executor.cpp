@@ -27,6 +27,7 @@
 
 #include "common/busy_work.hpp"
 #include "common/clock.hpp"
+#include "common/config.hpp"
 #include "report.hpp"
 #include "smr/executor.hpp"
 #include "smr/service.hpp"
@@ -159,11 +160,14 @@ int main(int argc, char** argv) {
 
   std::vector<std::size_t> worker_sweep = args.smoke ? std::vector<std::size_t>{1, 4}
                                                      : std::vector<std::size_t>{1, 2, 4, 8};
-  if (args.executor_workers > 0) {
-    worker_sweep = {static_cast<std::size_t>(args.executor_workers)};
-  }
-  const bool run_serial = args.executor_impl.empty() || args.executor_impl == "serial";
-  const bool run_affinity = args.executor_impl.empty() || args.executor_impl == "affinity";
+  // --set executor_impl=... / executor_workers=N restricts the sweep to
+  // that setting (the values already passed Config's validation).
+  Config pinned;
+  pinned.apply_overrides(args.set);
+  if (args.set.count("executor_workers") != 0) worker_sweep = {pinned.executor_workers};
+  const bool pins_impl = args.set.count("executor_impl") != 0;
+  const bool run_serial = !pins_impl || pinned.executor_impl == ExecutorImpl::kSerial;
+  const bool run_affinity = !pins_impl || pinned.executor_impl == ExecutorImpl::kAffinity;
 
   report.env("requests", static_cast<std::int64_t>(n));
   report.env("batch", static_cast<std::int64_t>(batch));

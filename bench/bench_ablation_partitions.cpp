@@ -100,11 +100,11 @@ int main(int argc, char** argv) {
         // The sweep owns the pipeline-shape knobs; scrub them from the
         // shared flags so run_real does not override the cell.
         bench::BenchArgs cell = args;
-        cell.partitions = 0;
         cell.workload.clear();
         cell.kv_conflict_pct = -1;
-        cell.executor_impl.clear();
-        cell.executor_workers = 0;
+        for (const char* key : {"num_partitions", "executor_impl", "executor_workers"}) {
+          cell.set.erase(key);
+        }
         const auto result = bench::run_real(params, cell);
 
         series.point(partitions, result.throughput_rps, result.throughput_stderr);

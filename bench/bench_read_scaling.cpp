@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       // so run_real does not override the cell.
       bench::BenchArgs cell = args;
       cell.read_pct = -1;
-      cell.read_path.clear();
+      cell.set.erase("read_path");
       cell.workload.clear();
       const auto result = bench::run_real(params, cell);
 

@@ -154,7 +154,8 @@ int main(int argc, char** argv) {
       args, "Recovery: follower rejoin time after a crash (memory vs segment log)");
 
   std::vector<std::string> storages = {"memory", "segment"};
-  if (!args.storage_impl.empty()) storages = {args.storage_impl};
+  // --set log_storage=... measures that backend alone.
+  if (const auto it = args.set.find("log_storage"); it != args.set.end()) storages = {it->second};
   const std::vector<int> sweep = bench::smoke_thin(args, std::vector<int>{200, 600, 1200});
   constexpr int kPutsAfter = 100;  // the gap decided while the victim is down
 

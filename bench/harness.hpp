@@ -264,34 +264,6 @@ inline RealRunResult run_real(RealRunParams params, const BenchArgs& args) {
     params.warmup_ns = std::max<std::uint64_t>(params.warmup_ns / 3, 100 * kMillis);
     params.measure_ns = std::max<std::uint64_t>(params.measure_ns / 3, 300 * kMillis);
   }
-  // --queue mutex|ring: the hot-path queue A/B knob (before/after
-  // BENCH_fig08/BENCH_fig04 comparisons run the same driver twice).
-  if (!args.queue_impl.empty()) {
-    params.config.apply_overrides({{"queue_impl", args.queue_impl}});
-  }
-  // --executor serial|affinity and --workers N: the
-  // ServiceManager execution-strategy knob (bench_ablation_executor A/Bs
-  // them).
-  if (!args.executor_impl.empty()) {
-    params.config.apply_overrides({{"executor_impl", args.executor_impl}});
-  }
-  if (args.executor_workers > 0) {
-    params.config.apply_overrides(
-        {{"executor_workers", std::to_string(args.executor_workers)}});
-  }
-  // --pin-io: pin each ClientIO thread t to core t (round-robin modulo
-  // the host's cores); recorded in env{} so baselines are comparable.
-  if (args.pin_io) params.config.apply_overrides({{"pin_io_threads", "1"}});
-  // --partitions N: shard the replica into N pipelines behind the router
-  // (bench_ablation_partitions sweeps it; every driver accepts it).
-  if (args.partitions > 0) {
-    params.config.apply_overrides({{"num_partitions", std::to_string(args.partitions)}});
-  }
-  // --storage memory|segment: the durable-WAL A/B knob (bench_recovery
-  // compares restart-from-disk against restart-empty).
-  if (!args.storage_impl.empty()) {
-    params.config.apply_overrides({{"log_storage", args.storage_impl}});
-  }
   // --workload kv [--keys N --conflict P]: keyed swarm traffic through a
   // KvService so the executor and the partitions see real conflicts.
   if (args.workload == "kv") {
@@ -302,12 +274,11 @@ inline RealRunResult run_real(RealRunParams params, const BenchArgs& args) {
   }
   if (args.kv_keys > 0) params.kv_keys = args.kv_keys;
   if (args.kv_conflict_pct >= 0) params.kv_conflict_pct = args.kv_conflict_pct;
-  // --read-pct P and --read-path consensus|lease: mixed GET/PUT traffic
-  // and the leader-lease local read path (bench_read_scaling A/Bs them).
+  // --read-pct P: mixed GET/PUT traffic (bench_read_scaling sweeps it).
   if (args.read_pct >= 0) params.read_pct = args.read_pct;
-  if (!args.read_path.empty()) {
-    params.config.apply_overrides({{"read_path", args.read_path}});
-  }
+  // --set key=value: Config overrides, applied last so they win over the
+  // driver's own settings (the before/after A-B runs one driver twice).
+  params.config.apply_overrides(args.set);
   std::vector<RealRunResult> runs;
   runs.reserve(static_cast<std::size_t>(args.repeat));
   for (int rep = 0; rep < args.repeat; ++rep) {

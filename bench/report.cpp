@@ -11,6 +11,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/affinity.hpp"
 #include "common/config.hpp"
@@ -161,17 +162,12 @@ namespace {
       "  --budget PPS    override the scaled-NIC packet budget\n"
       "  --smoke         short measurement windows + thinned sweeps\n"
       "  --seed S        base SimNet RNG seed (recorded in env{})\n"
-      "  --queue IMPL    hot-path queue implementation: mutex or ring\n"
-      "  --executor IMPL execution strategy: serial or affinity\n"
-      "  --workers N     executor worker threads\n"
-      "  --pin-io        pin each ClientIO thread t to core t\n"
-      "  --partitions N  partitioned SMR pipelines (Config::num_partitions)\n"
-      "  --storage IMPL  Paxos log storage: memory or segment\n"
+      "  --set KEY=VALUE replica Config override, repeatable (keys and values:\n"
+      "                  Config::apply_overrides in src/common/config.hpp)\n"
       "  --workload W    swarm workload: null or kv (keyed PUT traffic)\n"
       "  --keys N        kv workload key-space size\n"
       "  --conflict P    kv workload %% of requests hitting one hot key\n"
       "  --read-pct P    kv workload %% of requests that are GETs\n"
-      "  --read-path P   read-only request handling: consensus or lease\n"
       "  --calibrate     re-derive [model] stage demands from a live run\n"
       "  --help          this message\n"
       "\n"
@@ -211,6 +207,7 @@ BenchArgs BenchArgs::parse(int& argc, char** argv, std::string figure) {
   }
 
   int out_argc = 1;  // argv[0] stays
+  std::vector<std::string> set_tokens;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") usage(args.figure, 0);
@@ -240,43 +237,10 @@ BenchArgs BenchArgs::parse(int& argc, char** argv, std::string figure) {
         std::fprintf(stderr, "error: --seed wants an unsigned integer, got '%s'\n", seed_v);
         std::exit(2);
       }
-    } else if (const char* queue_v = flag_value("--queue", argc, argv, i)) {
-      args.queue_impl = queue_v;
-      if (args.queue_impl != "mutex" && args.queue_impl != "ring") {
-        std::fprintf(stderr, "error: --queue wants mutex or ring, got '%s'\n", queue_v);
-        std::exit(2);
-      }
-    } else if (const char* executor_v = flag_value("--executor", argc, argv, i)) {
-      args.executor_impl = executor_v;
-      if (args.executor_impl != "serial" && args.executor_impl != "affinity") {
-        std::fprintf(stderr, "error: --executor wants serial or affinity, got '%s'\n", executor_v);
-        std::exit(2);
-      }
-    } else if (arg == "--pin-io") {
-      args.pin_io = true;
+    } else if (const char* set_v = flag_value("--set", argc, argv, i)) {
+      set_tokens.emplace_back(set_v);
     } else if (arg == "--calibrate") {
       args.calibrate = true;
-    } else if (const char* workers_v = flag_value("--workers", argc, argv, i)) {
-      args.executor_workers = std::atoi(workers_v);
-      if (args.executor_workers < 1) {
-        std::fprintf(stderr, "error: --workers wants a positive integer, got '%s'\n",
-                     workers_v);
-        std::exit(2);
-      }
-    } else if (const char* partitions_v = flag_value("--partitions", argc, argv, i)) {
-      args.partitions = std::atoi(partitions_v);
-      if (args.partitions < 1) {
-        std::fprintf(stderr, "error: --partitions wants a positive integer, got '%s'\n",
-                     partitions_v);
-        std::exit(2);
-      }
-    } else if (const char* storage_v = flag_value("--storage", argc, argv, i)) {
-      args.storage_impl = storage_v;
-      if (args.storage_impl != "memory" && args.storage_impl != "segment") {
-        std::fprintf(stderr, "error: --storage wants memory or segment, got '%s'\n",
-                     storage_v);
-        std::exit(2);
-      }
     } else if (const char* workload_v = flag_value("--workload", argc, argv, i)) {
       args.workload = workload_v;
       if (args.workload != "null" && args.workload != "kv") {
@@ -303,13 +267,6 @@ BenchArgs BenchArgs::parse(int& argc, char** argv, std::string figure) {
                      read_pct_v);
         std::exit(2);
       }
-    } else if (const char* read_path_v = flag_value("--read-path", argc, argv, i)) {
-      args.read_path = read_path_v;
-      if (args.read_path != "consensus" && args.read_path != "lease") {
-        std::fprintf(stderr, "error: --read-path wants consensus or lease, got '%s'\n",
-                     read_path_v);
-        std::exit(2);
-      }
     } else {
       args.passthrough.emplace_back(arg);
       argv[out_argc++] = argv[i];
@@ -318,6 +275,15 @@ BenchArgs BenchArgs::parse(int& argc, char** argv, std::string figure) {
   }
   argc = out_argc;
   argv[argc] = nullptr;
+  // Config is the only validator: try the pairs on a scratch Config so a
+  // bad key or value fails here, before any driver measures anything.
+  try {
+    args.set = Config::parse_pairs(set_tokens);
+    Config{}.apply_overrides(args.set);
+  } catch (const std::logic_error& e) {  // invalid_argument, out_of_range
+    std::fprintf(stderr, "error: --set: %s\n", e.what());
+    std::exit(2);
+  }
   return args;
 }
 
@@ -424,25 +390,12 @@ BenchReport::BenchReport(const BenchArgs& args, std::string title)
   env("repeat", static_cast<std::int64_t>(args_.repeat));
   env("smoke", args_.smoke);
   env("budget_pps", args_.budget_pps);  // 0 = driver default
-  // Recorded only when --queue/--executor/--workers was passed
-  // explicitly: the flags pin Config fields in the run_real harness;
-  // ablation drivers measure several settings regardless and must not
-  // claim otherwise.
-  if (!args_.queue_impl.empty()) env("queue_impl", args_.queue_impl);
-  if (!args_.executor_impl.empty()) env("executor_impl", args_.executor_impl);
-  if (args_.executor_workers > 0) {
-    env("executor_workers", static_cast<std::int64_t>(args_.executor_workers));
-  }
-  if (args_.pin_io) env("pin_io_threads", true);
-  if (args_.partitions > 0) env("partitions", static_cast<std::int64_t>(args_.partitions));
-  if (!args_.storage_impl.empty()) env("log_storage", args_.storage_impl);
   if (!args_.workload.empty()) env("workload", args_.workload);
   if (args_.kv_keys > 0) env("kv_keys", static_cast<std::int64_t>(args_.kv_keys));
   if (args_.kv_conflict_pct >= 0) {
     env("kv_conflict_pct", static_cast<std::int64_t>(args_.kv_conflict_pct));
   }
   if (args_.read_pct >= 0) env("read_pct", static_cast<std::int64_t>(args_.read_pct));
-  if (!args_.read_path.empty()) env("read_path", args_.read_path);
 }
 
 BenchSeries& BenchReport::series(const std::string& name, const std::string& kind,
@@ -527,6 +480,14 @@ std::string BenchReport::render() const {
       case EnvValue::kInt: w.value(v.i); break;
       case EnvValue::kUint: w.value(v.u); break;
     }
+  }
+  // The --set pairs as passed (not the resolved Config): drivers that
+  // never build a replica from them ignore them.
+  if (!args_.set.empty()) {
+    w.key("set");
+    w.begin_object();
+    for (const auto& [k, v] : args_.set) w.key(k).value(std::string_view(v));
+    w.end_object();
   }
   w.end_object();
   w.end_object();

@@ -14,23 +14,13 @@
 //   --budget PPS    override the scaled-NIC packet budget
 //   --smoke         short measurement windows + thinned sweeps (CI)
 //   --seed S        base RNG seed for SimNet (recorded in env{})
-//   --queue IMPL    hot-path queue implementation: mutex or ring
-//                   (Config::queue_impl; the before/after A-B knob)
-//   --executor IMPL execution strategy: serial or affinity
-//                   (Config::executor_impl; bench_ablation_executor A-Bs)
-//   --workers N     executor worker threads (Config::executor_workers)
-//   --pin-io        pin each ClientIO thread t to core t
-//                   (Config::pin_io_threads; recorded in env{})
-//   --partitions N  partitioned SMR pipelines (Config::num_partitions;
-//                   bench_ablation_partitions sweeps it)
-//   --storage IMPL  Paxos log storage: memory or segment
-//                   (Config::log_storage; bench_recovery A-Bs the two)
+//   --set KEY=VALUE Config override, repeatable; validated by
+//                   Config::apply_overrides (the one place that knows the
+//                   keys), applied last by run_real, recorded as env.set
 //   --workload W    swarm workload: null (paper default) or kv
 //   --keys N        kv workload key-space size
 //   --conflict P    kv workload hot-key percentage [0, 100]
 //   --read-pct P    kv workload GET percentage [0, 100]
-//   --read-path P   read-only request handling: consensus or lease
-//                   (Config::read_path; bench_read_scaling A-Bs the two)
 //   --calibrate     drivers with a [model] series re-derive its stage
 //                   demands from a live run (drivers without one ignore it)
 // Unrecognized flags are left in argv for driver-specific handling
@@ -102,24 +92,21 @@ struct BenchArgs {
   double budget_pps = 0;    ///< scaled-NIC packet budget override (0 = default)
   bool smoke = false;       ///< short windows + thinned sweeps
   std::uint64_t seed = 1;   ///< base SimNet RNG seed, recorded in env{}
-  std::string queue_impl;   ///< "" = config default, else "mutex"/"ring"
-  std::string executor_impl;  ///< "" = default, else "serial"/"affinity"
-  int executor_workers = 0;   ///< 0 = config default
-  bool pin_io = false;        ///< pin ClientIO threads (Config::pin_io_threads)
-  int partitions = 0;         ///< 0 = config default (Config::num_partitions)
-  std::string storage_impl;   ///< "" = config default, else "memory"/"segment"
+  /// `--set` Config overrides (Config::apply_overrides keys), recorded as
+  /// env.set.
+  std::map<std::string, std::string> set;
   std::string workload;       ///< "" = driver default, else "null"/"kv"
   int kv_keys = 0;            ///< 0 = default key space (kv workload)
   int kv_conflict_pct = -1;   ///< -1 = default (kv workload hot-key share)
   int read_pct = -1;          ///< -1 = default (kv workload GET share)
-  std::string read_path;      ///< "" = config default, else "consensus"/"lease"
   bool calibrate = false;     ///< re-derive [model] demands from a live run
   std::string argv_line;    ///< the original command line, recorded in env{}
   std::vector<std::string> passthrough;  ///< flags left for the driver
 
   /// Parse-and-strip: consumes the shared flags above and compacts argv so
   /// driver-specific parsing (or benchmark::Initialize) sees the rest.
-  /// Prints usage and exits on --help; exits(2) on a malformed value.
+  /// Prints usage and exits on --help; exits(2) on a malformed value,
+  /// including a `--set` pair that Config rejects.
   static BenchArgs parse(int& argc, char** argv, std::string figure);
 
   bool emit_json() const { return json || !out.empty(); }

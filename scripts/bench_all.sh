@@ -2,26 +2,19 @@
 # Run the full benchmark suite and collect one BENCH_<figure>.json per
 # driver (the machine-readable figure trajectory tracked across PRs).
 #
-#   scripts/bench_all.sh [--smoke] [--out DIR] [--build DIR] [--only REGEX]
-#                        [--repeat N] [--budget PPS] [--seed S]
-#                        [--queue IMPL] [--executor IMPL] [--workers N]
-#                        [--pin-io] [--partitions N] [--storage IMPL]
-#                        [--workload W] [--keys N] [--conflict P]
-#                        [--read-pct P] [--read-path P] [--calibrate]
-#                        [--no-validate]
+#   scripts/bench_all.sh [--out DIR] [--build DIR] [--only REGEX]
+#                        [--no-validate] [DRIVER FLAG ...]
 #
-#   --smoke        short measurement windows + thinned sweeps (what CI runs)
 #   --out DIR      where BENCH_*.json land (default: the repo root)
 #   --build DIR    build tree holding the bench_* binaries (default: build)
 #   --only REGEX   run only drivers whose name matches (grep -E)
-#   --repeat/--budget/--seed/--queue/--executor/--workers/--partitions/
-#   --storage/--workload/--keys/--conflict/--read-pct/--read-path
-#                  forwarded to every driver (the full pipeline-shape
-#                  flag set — keep this list in sync with BenchArgs)
-#   --pin-io       forwarded: pin ClientIO threads (Config::pin_io_threads)
-#   --calibrate    forwarded: drivers with a [model] series re-derive its
-#                  stage demands from a live run (others ignore it)
 #   --no-validate  skip the scripts/validate_bench_json.py pass
+#
+# Every other argument goes to every driver unchanged: the shared flags
+# (`--smoke`, `--repeat N`, `--set key=value`, ...) are listed by any
+# driver's --help and documented in docs/BENCHMARKS.md. A flag no shared
+# parser knows reaches the driver's own: the gbench ablations fail on it,
+# the other drivers ignore it.
 #
 # Exits non-zero if any driver fails, emits nothing, or emits JSON that
 # does not validate against docs/BENCH_SCHEMA.md.
@@ -35,16 +28,11 @@ validate=1
 forward=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --smoke) forward+=(--smoke); shift ;;
-    --pin-io) forward+=(--pin-io); shift ;;
-    --calibrate) forward+=(--calibrate); shift ;;
     --out) out_dir=$2; shift 2 ;;
     --build) build_dir=$2; shift 2 ;;
     --only) only=$2; shift 2 ;;
-    --repeat|--budget|--seed|--queue|--executor|--workers|--partitions|--storage|--workload|--keys|--conflict|--read-pct|--read-path)
-      forward+=("$1" "$2"); shift 2 ;;
     --no-validate) validate=0; shift ;;
-    *) echo "unknown flag: $1 (see the header of $0)" >&2; exit 2 ;;
+    *) forward+=("$1"); shift ;;
   esac
 done
 

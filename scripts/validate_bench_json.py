@@ -93,33 +93,28 @@ def check_env(env, errors):
         errors.append("env: 'repeat' must be a positive integer")
     if "smoke" in env and not isinstance(env["smoke"], bool):
         errors.append("env: 'smoke' must be a boolean")
-    # Pipeline-shape flags are optional (recorded only when passed) but
-    # must be well-typed when present, so bench_all.sh-forwarded runs are
-    # attributable.
-    for key in ("executor_workers", "partitions", "kv_keys"):
-        if key in env and (not isinstance(env[key], int) or env[key] < 1):
-            errors.append(f"env: '{key}' must be a positive integer")
+    # Workload flags and the --set pairs are optional (recorded only when
+    # passed) but must be well-typed when present, so bench_all.sh-forwarded
+    # runs are attributable. The pairs' keys and values are Config's to
+    # check: drivers reject bad ones before writing anything.
+    pairs = env.get("set", {})
+    if not isinstance(pairs, dict) or not all(
+        k and isinstance(v, str) and v for k, v in pairs.items()
+    ):
+        errors.append("env: 'set' must be an object of non-empty strings")
+    if "kv_keys" in env and (not isinstance(env["kv_keys"], int) or env["kv_keys"] < 1):
+        errors.append("env: 'kv_keys' must be a positive integer")
     if "kv_conflict_pct" in env and (
         not isinstance(env["kv_conflict_pct"], int)
         or not 0 <= env["kv_conflict_pct"] <= 100
     ):
         errors.append("env: 'kv_conflict_pct' must be an integer in [0, 100]")
-    if "queue_impl" in env and env["queue_impl"] not in ("mutex", "ring"):
-        errors.append("env: 'queue_impl' must be 'mutex' or 'ring'")
-    if "executor_impl" in env and env["executor_impl"] not in ("serial", "affinity"):
-        errors.append("env: 'executor_impl' must be 'serial' or 'affinity'")
-    if "log_storage" in env and env["log_storage"] not in ("memory", "segment"):
-        errors.append("env: 'log_storage' must be 'memory' or 'segment'")
     if "workload" in env and env["workload"] not in ("null", "kv"):
         errors.append("env: 'workload' must be 'null' or 'kv'")
     if "read_pct" in env and (
         not isinstance(env["read_pct"], int) or not 0 <= env["read_pct"] <= 100
     ):
         errors.append("env: 'read_pct' must be an integer in [0, 100]")
-    if "read_path" in env and env["read_path"] not in ("consensus", "lease"):
-        errors.append("env: 'read_path' must be 'consensus' or 'lease'")
-    if "pin_io_threads" in env and not isinstance(env["pin_io_threads"], bool):
-        errors.append("env: 'pin_io_threads' must be a boolean")
 
 
 def validate(path):

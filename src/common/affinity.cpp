@@ -22,15 +22,4 @@ bool pin_process_to_cores(int k) {
 
 bool unpin_process() { return pin_process_to_cores(hardware_cores()); }
 
-bool pin_current_thread(int core) {
-  const int max = hardware_cores();
-  if (max < 2) return false;
-  if (core < 0) core = 0;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core % max, &set);
-  // 0 = the calling thread (per-thread, unlike the process-wide pin).
-  return sched_setaffinity(0, sizeof set, &set) == 0;
-}
-
 }  // namespace mcsmr

@@ -19,13 +19,4 @@ bool pin_process_to_cores(int k);
 /// Remove any affinity restriction (all online cores).
 bool unpin_process();
 
-/// Pin the CALLING thread to one core (`core` taken modulo the online
-/// count, so callers can round-robin a plain index). No-op returning
-/// false on single-core hosts — an exclusive pin there just serializes
-/// everything behind one runqueue. Used by the ClientIO threads when
-/// Config::pin_io_threads is set; note this composes with
-/// pin_process_to_cores(k): a process-wide mask applied later overrides
-/// per-thread pins, which is what the core-sweep benches want.
-bool pin_current_thread(int core);
-
 }  // namespace mcsmr

@@ -73,11 +73,6 @@ struct Config {
 
   // --- Threading architecture (Fig 3) ---
   int client_io_threads = 3;  ///< paper: optimal usually 3..6 (§V-A fn.2)
-  /// Pin ClientIO thread t to core t (round-robin modulo the host's
-  /// cores). Off by default: only worth it on multi-core hosts, and the
-  /// pin is skipped entirely when the host has a single core (see
-  /// common/affinity.hpp). Benches record the flag in their env{} stanza.
-  bool pin_io_threads = false;
 
   // --- Partitioned pipelines (compartmentalization, Whittaker et al.) ---
   /// Number of independent SMR pipelines (Batcher -> Protocol -> Service
@@ -102,8 +97,6 @@ struct Config {
 
   // --- Hot-path queue implementation (§V-E; bench_ablation_queues) ---
   QueueImpl queue_impl = QueueImpl::kRing;  ///< ProposalQueue + reply path
-  /// Spin iterations before a ring-backed queue parks (see WaitStrategy).
-  std::uint32_t queue_spin_budget = 256;
 
   // --- Failure detection (§V-C3) ---
   std::uint64_t fd_heartbeat_interval_ns = 50'000'000;   ///< leader heartbeat: 50 ms
@@ -182,19 +175,26 @@ struct Config {
   /// seen coherently by every module of the replica.
   std::uint64_t local_clock_ns() const;
 
-  /// Parse `key=value` overrides (unknown keys throw std::invalid_argument).
-  /// Accepted keys: n, window_size (wnd), batch_max_bytes (bsz),
-  /// batch_timeout_ms, client_io_threads, request_queue_cap,
-  /// proposal_queue_cap, request_payload_bytes, reply_payload_bytes,
-  /// queue_impl (mutex|ring), queue_spin_budget,
-  /// executor_impl (serial|affinity), executor_workers,
-  /// pin_io_threads (0|1),
-  /// num_partitions (alias: partitions), log_storage (memory|segment),
-  /// log_dir, fsync_batch_ns, preexec_window, read_path (consensus|lease),
-  /// lease_duration_ms, lease_drift_margin_ms.
+  /// Apply `key=value` overrides: the one place that knows configuration
+  /// keys and their legal values (bench `--set`, the test matrix's
+  /// MCSMR_CONFIG and bench/e2e workloads all come through here).
+  /// Accepted keys: n, window_size, batch_max_bytes, batch_timeout_ms,
+  /// client_io_threads, request_queue_cap, proposal_queue_cap,
+  /// request_payload_bytes, reply_payload_bytes, queue_impl (mutex|ring),
+  /// executor_impl (serial|affinity), executor_workers, num_partitions,
+  /// log_storage (memory|segment), log_dir, fsync_batch_ns,
+  /// preexec_window, read_path (consensus|lease), lease_duration_ms,
+  /// lease_drift_margin_ms. Numbers are plain decimal digits that must
+  /// fit the field. Throws std::invalid_argument on an unknown key or a
+  /// malformed/illegal value, std::out_of_range on a number too large.
   void apply_overrides(const std::map<std::string, std::string>& overrides);
 
-  /// Parse overrides from argv-style "key=value" tokens.
+  /// Split argv-style "key=value" tokens into an override map (a repeated
+  /// key keeps its last value). Throws std::invalid_argument on a token
+  /// without '='. Checks no key: apply_overrides does.
+  static std::map<std::string, std::string> parse_pairs(const std::vector<std::string>& tokens);
+
+  /// A default Config with `parse_pairs(args)` applied.
   static Config from_args(const std::vector<std::string>& args);
 };
 

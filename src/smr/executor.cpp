@@ -19,8 +19,7 @@ AffinityExecutor::AffinityExecutor(const Config& config, Service& service,
       shared_(shared),
       worker_count_(config.executor_workers == 0
                         ? 1
-                        : static_cast<std::uint32_t>(config.executor_workers)),
-      sync_(config.queue_spin_budget) {}
+                        : static_cast<std::uint32_t>(config.executor_workers)) {}
 
 AffinityExecutor::~AffinityExecutor() { stop(); }
 
@@ -42,8 +41,7 @@ void AffinityExecutor::start() {
     // itself the alternative to the serial baseline, so the A/B knob is
     // executor_impl, not queue_impl.
     queues_.push_back(std::make_unique<PipelineQueue<Task>>(
-        QueueBackend::kSpsc, kWorkerQueueCap, "AffinityQueue-" + std::to_string(i),
-        config_.queue_spin_budget));
+        QueueBackend::kSpsc, kWorkerQueueCap, "AffinityQueue-" + std::to_string(i)));
   }
   for (std::uint32_t i = 0; i < worker_count_; ++i) {
     threads_.emplace_back(config_.thread_name_prefix + "AffWorker-" + std::to_string(i),

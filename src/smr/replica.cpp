@@ -26,7 +26,7 @@ Replica::Partition::Partition(const Config& replica_config, ReplicaId self,
       shared(config.n),
       request_queue(config.request_queue_cap, "RequestQueue"),
       proposal_queue(backend_for(config.queue_impl, /*fan_in=*/false),
-                     config.proposal_queue_cap, "ProposalQueue", config.queue_spin_budget),
+                     config.proposal_queue_cap, "ProposalQueue"),
       dispatcher_queue(config.dispatcher_queue_cap, "DispatcherQueue"),
       decision_queue(config.decision_queue_cap, "DecisionQueue"),
       service(std::move(svc)),

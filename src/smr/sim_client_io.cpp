@@ -1,6 +1,5 @@
 #include "smr/sim_client_io.hpp"
 
-#include "common/affinity.hpp"
 #include "common/logging.hpp"
 
 namespace mcsmr::smr {
@@ -28,8 +27,7 @@ SimClientIo::SimClientIo(const Config& config, net::SimNetwork& net, net::NodeId
           config.executor_impl == ExecutorImpl::kAffinity);
   for (int t = 0; t < io_threads_; ++t) {
     reply_queues_.push_back(std::make_unique<PipelineQueue<ClientReplyFrame>>(
-        backend, config.reply_queue_cap, "ReplyQueue-" + std::to_string(t),
-        config.queue_spin_budget));
+        backend, config.reply_queue_cap, "ReplyQueue-" + std::to_string(t)));
     wake_pending_[static_cast<std::size_t>(t)].store(false, std::memory_order_relaxed);
   }
 }
@@ -68,9 +66,6 @@ void SimClientIo::drain_replies(int thread_index) {
 }
 
 void SimClientIo::io_loop(int thread_index) {
-  // Opt-in thread affinity (§V-A suggests dedicating cores to IO): one
-  // core per IO thread, round-robin; no-op on single-core hosts.
-  if (config_.pin_io_threads) pin_current_thread(thread_index);
   const net::Channel channel = kClientIoChannelBase + static_cast<net::Channel>(thread_index);
   while (auto message = net_.recv(self_node_, channel)) {
     if (message->payload.empty()) {

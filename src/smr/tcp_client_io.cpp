@@ -7,7 +7,6 @@
 
 #include <cerrno>
 
-#include "common/affinity.hpp"
 #include "common/logging.hpp"
 
 namespace mcsmr::smr {
@@ -38,8 +37,7 @@ TcpClientIo::TcpClientIo(const Config& config, std::uint16_t port,
   for (int t = 0; t < io_threads_; ++t) {
     loops_.push_back(std::make_unique<net::EventLoop>());
     reply_queues_.push_back(std::make_unique<PipelineQueue<PendingReply>>(
-        backend, config.reply_queue_cap, "ReplyQueue-" + std::to_string(t),
-        config.queue_spin_budget));
+        backend, config.reply_queue_cap, "ReplyQueue-" + std::to_string(t)));
     wake_pending_[static_cast<std::size_t>(t)].store(false, std::memory_order_relaxed);
   }
 }
@@ -51,12 +49,7 @@ void TcpClientIo::start() {
   started_ = true;
   for (int t = 0; t < io_threads_; ++t) {
     threads_.emplace_back(config_.thread_name_prefix + "ClientIO-" + std::to_string(t),
-                          [this, t] {
-                            // Opt-in thread affinity (§V-A): one core per
-                            // IO thread; no-op on single-core hosts.
-                            if (config_.pin_io_threads) pin_current_thread(t);
-                            loops_[static_cast<std::size_t>(t)]->run();
-                          });
+                          [this, t] { loops_[static_cast<std::size_t>(t)]->run(); });
   }
   accept_thread_ = metrics::NamedThread(config_.thread_name_prefix + "ClientIOAccept",
                                         [this] { accept_loop(); });

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -73,9 +74,10 @@ BenchArgs test_args(std::vector<std::string> argv_strings) {
 }
 
 TEST(BenchArgs, ParsesSharedFlagsAndLeavesPassthrough) {
-  std::vector<std::string> argv_strings = {
-      "bench_figtest", "--json", "--repeat", "3",    "--budget=7000",         "--seed", "42",
-      "--smoke",       "--pin-io", "--calibrate", "--out", "/tmp/x", "--benchmark_list_tests"};
+  std::istringstream line(
+      "bench_figtest --json --repeat 3 --budget=7000 --set queue_impl=mutex --seed 42 --smoke "
+      "--benchmark_list_tests --set=window_size=7 --calibrate --out /tmp/x --benchmark_filter=x");
+  std::vector<std::string> argv_strings{std::istream_iterator<std::string>(line), {}};
   std::vector<char*> argv;
   for (auto& arg : argv_strings) argv.push_back(arg.data());
   argv.push_back(nullptr);
@@ -88,13 +90,26 @@ TEST(BenchArgs, ParsesSharedFlagsAndLeavesPassthrough) {
   EXPECT_EQ(args.seed, 42u);
   EXPECT_TRUE(args.smoke);
   EXPECT_EQ(args.out, "/tmp/x");
-  EXPECT_TRUE(args.pin_io);
+  EXPECT_EQ(args.set.size(), 2u);
+  EXPECT_EQ(args.set.at("queue_impl"), "mutex");
+  EXPECT_EQ(args.set.at("window_size"), "7");
   EXPECT_TRUE(args.calibrate);
   EXPECT_TRUE(args.flag("--benchmark_list_tests"));
   EXPECT_FALSE(args.flag("--nope"));
   // argv was compacted to argv[0] + passthrough only.
-  ASSERT_EQ(argc, 2);
+  ASSERT_EQ(argc, 3);
   EXPECT_STREQ(argv[1], "--benchmark_list_tests");
+  EXPECT_STREQ(argv[2], "--benchmark_filter=x");
+}
+
+TEST(BenchArgsDeathTest, SetRejectsWhatConfigRejects) {
+  // Whatever Config rejects exits 2 with Config's own message.
+  const auto set = [](const char* pair) { return test_args({"bench_figtest", "--set", pair}); };
+  EXPECT_EXIT(set("bogus=1"), ::testing::ExitedWithCode(2), "unknown config key: bogus");
+  EXPECT_EXIT(set("queue_impl=lockfree"), ::testing::ExitedWithCode(2), "must be mutex or ring");
+  EXPECT_EXIT(set("executor_workers=-1"), ::testing::ExitedWithCode(2), "executor_workers");
+  EXPECT_EXIT(set("num_partitions=4294967297"), ::testing::ExitedWithCode(2), "must be <=");
+  EXPECT_EXIT(set("queue_impl"), ::testing::ExitedWithCode(2), "expected key=value");
 }
 
 TEST(BenchArgs, OutPathResolution) {
@@ -221,6 +236,20 @@ TEST(BenchReport, EnvRecordsSeedRepeatAndSmoke) {
   EXPECT_NE(doc.find("\"smoke\": false"), std::string::npos);
   EXPECT_NE(doc.find("\"argv\": \"bench_figtest --json --seed 7 --repeat 4\""),
             std::string::npos);
+  EXPECT_EQ(doc.find("\"set\""), std::string::npos);  // only when --set was passed
+}
+
+TEST(BenchReport, EnvRecordsSetPairsAsOneObject) {
+  const auto args = test_args(
+      {"bench_figtest", "--json", "--set", "num_partitions=4", "--set", "queue_impl=mutex"});
+  BenchReport report(args, "t");
+  report.series("s [model]", "model", "m", "u", "x").point(1, 2);
+  const std::string doc = report.render();
+  EXPECT_NE(doc.find("\"set\": {\n      \"num_partitions\": \"4\",\n"
+                     "      \"queue_impl\": \"mutex\"\n    }"),
+            std::string::npos)
+      << doc;
+  EXPECT_EQ(doc.find("\"partitions\""), std::string::npos);  // no per-key copy
 }
 
 }  // namespace

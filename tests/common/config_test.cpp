@@ -36,7 +36,8 @@ TEST(Config, LeaderRotatesWithView) {
 }
 
 TEST(Config, FromArgsOverrides) {
-  auto config = Config::from_args({"n=5", "wnd=35", "bsz=2600", "client_io_threads=6"});
+  auto config = Config::from_args(
+      {"n=5", "window_size=35", "batch_max_bytes=2600", "client_io_threads=6"});
   EXPECT_EQ(config.n, 5);
   EXPECT_EQ(config.window_size, 35u);
   EXPECT_EQ(config.batch_max_bytes, 2600u);
@@ -45,6 +46,47 @@ TEST(Config, FromArgsOverrides) {
 
 TEST(Config, RejectsUnknownKey) {
   EXPECT_THROW(Config::from_args({"bogus=1"}), std::invalid_argument);
+}
+
+TEST(Config, OneSpellingPerKey) {
+  // No aliases (wnd, bsz, partitions, storage) and no pin_io_threads or
+  // queue_spin_budget knob.
+  for (const char* alias : {"wnd=35", "bsz=2600", "partitions=2", "storage=segment"}) {
+    EXPECT_THROW(Config::from_args({alias}), std::invalid_argument) << alias;
+  }
+  EXPECT_THROW(Config::from_args({"pin_io_threads=1"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"queue_spin_budget=256"}), std::invalid_argument);
+}
+
+TEST(Config, RejectsNumbersItCannotHold) {
+  // A sign or whitespace is malformed, not wrapped modulo 2^64.
+  EXPECT_THROW(Config::from_args({"executor_workers=-1"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"request_queue_cap=-1"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"window_size=-1"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"batch_max_bytes=-5"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"client_io_threads=-2"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"window_size=+5"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"window_size= 5"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"window_size="}), std::invalid_argument);
+  // Too wide for the field is rejected, not truncated (2^32+1 would read
+  // back as 1 and pass num_partitions' [1, 64] check).
+  EXPECT_THROW(Config::from_args({"window_size=4294967296"}), std::out_of_range);
+  EXPECT_THROW(Config::from_args({"num_partitions=4294967297"}), std::out_of_range);
+  EXPECT_THROW(Config::from_args({"n=2147483649"}), std::out_of_range);
+  EXPECT_THROW(Config::from_args({"fsync_batch_ns=18446744073709551616"}), std::out_of_range);
+  EXPECT_THROW(Config::from_args({"batch_timeout_ms=18446744073710"}), std::out_of_range);
+  // The widest value each field holds still parses.
+  EXPECT_EQ(Config::from_args({"window_size=4294967295"}).window_size, 4294967295u);
+  EXPECT_EQ(Config::from_args({"fsync_batch_ns=18446744073709551615"}).fsync_batch_ns,
+            18446744073709551615ull);
+}
+
+TEST(Config, ParsePairsKeepsTheLastValueOfARepeatedKey) {
+  const auto pairs = Config::parse_pairs({"queue_impl=mutex", "n=5", "queue_impl=ring"});
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs.at("queue_impl"), "ring");
+  EXPECT_EQ(pairs.at("n"), "5");
+  EXPECT_EQ(Config::parse_pairs({"log_dir=a=b"}).at("log_dir"), "a=b");
 }
 
 TEST(Config, RejectsMalformedArg) {

@@ -19,6 +19,7 @@
 // and the search only requires completed operations to be placed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -58,26 +59,49 @@ inline Bytes apply_op(const Operation& op, const Bytes& state) {
 }
 
 /// Depth-first search over linearization prefixes of one key's history.
+/// The search keeps its own stack (one frame per placed operation) rather
+/// than recursing: long histories would otherwise overflow the thread
+/// stack, notably under ASan's enlarged frames.
 class KeyChecker {
  public:
   KeyChecker(const std::vector<Operation>& ops, const CheckOptions& options)
-      : ops_(ops), options_(options) {}
+      : ops_(ops), options_(options), linearized_(ops.size(), false) {}
 
   /// True = linearizable (or budget exhausted; see exhausted()).
   bool run() {
-    std::vector<bool> linearized(ops_.size(), false);
-    return search(Bytes{}, linearized, count_completed());
+    std::size_t completed = 0;
+    for (const Operation& op : ops_) completed += op.pending() ? 0 : 1;
+    if (visit(Bytes{}, completed)) return true;
+    while (!stack_.empty()) {
+      Frame& frame = stack_.back();
+      const std::size_t i = next_candidate(frame);
+      if (i == ops_.size()) {  // no extension of this prefix works: backtrack
+        stack_.pop_back();
+        // The parent's last candidate is the placement that led here.
+        if (!stack_.empty()) linearized_[stack_.back().next - 1] = false;
+        continue;
+      }
+      frame.next = i + 1;
+      linearized_[i] = true;
+      // visit() may grow stack_: `frame` is not used past this call.
+      const std::size_t remaining = frame.remaining_completed - (ops_[i].pending() ? 0 : 1);
+      const std::size_t depth = stack_.size();
+      if (visit(apply_op(ops_[i], frame.state), remaining)) return true;
+      if (stack_.size() == depth) linearized_[i] = false;  // explored before
+    }
+    return false;
   }
   bool exhausted() const { return exhausted_; }
 
  private:
-  std::size_t count_completed() const {
-    std::size_t completed = 0;
-    for (const Operation& op : ops_) {
-      if (!op.pending()) ++completed;
-    }
-    return completed;
-  }
+  /// One linearization prefix: the register state after it, its real-time
+  /// frontier, and the next candidate operation to extend it with.
+  struct Frame {
+    Bytes state;
+    std::size_t remaining_completed;
+    std::uint64_t min_complete;
+    std::size_t next = 0;
+  };
 
   /// Pack (linearized set, state) into a memo key.
   static std::string memo_key(const std::vector<bool>& linearized, const Bytes& state) {
@@ -96,41 +120,46 @@ class KeyChecker {
     return key;
   }
 
-  bool search(const Bytes& state, std::vector<bool>& linearized,
-              std::size_t remaining_completed) {
+  /// Visit the prefix linearized_ holds. True ends the search; otherwise
+  /// the prefix is pushed for its extensions to be tried, unless it was
+  /// explored before.
+  bool visit(Bytes state, std::size_t remaining_completed) {
     if (remaining_completed == 0) return true;  // pending ops may stay unplaced
-    if (exhausted_) return true;                // give up, inconclusive
-    if (!visited_.insert(memo_key(linearized, state)).second) return false;
+    if (!visited_.insert(memo_key(linearized_, state)).second) return false;
     if (visited_.size() > options_.max_states) {
-      exhausted_ = true;
+      exhausted_ = true;  // give up, inconclusive
       return true;
     }
-
     // Real-time frontier: an operation may linearize next only if no
     // OTHER unlinearized operation completed before it was invoked.
     std::uint64_t min_complete = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (linearized[i] || ops_[i].pending()) continue;
+      if (linearized_[i] || ops_[i].pending()) continue;
       min_complete = std::min(min_complete, ops_[i].complete_ns);
     }
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (linearized[i]) continue;
+    stack_.push_back(Frame{std::move(state), remaining_completed, min_complete});
+    return false;
+  }
+
+  /// The first operation at or after frame.next that may linearize next,
+  /// or ops_.size() when none is left.
+  std::size_t next_candidate(const Frame& frame) const {
+    for (std::size_t i = frame.next; i < ops_.size(); ++i) {
+      if (linearized_[i]) continue;
       const Operation& op = ops_[i];
-      if (op.invoke_ns > min_complete) continue;  // someone must go first
+      if (op.invoke_ns > frame.min_complete) continue;  // someone must go first
       // A completed GET pins the state at its linearization point; a
       // pending GET constrains nothing (its reply was never observed).
-      if (op.kind == Operation::Kind::kGet && !op.pending() && op.result != state) continue;
-      linearized[i] = true;
-      const bool done = search(apply_op(op, state), linearized,
-                               remaining_completed - (op.pending() ? 0 : 1));
-      linearized[i] = false;
-      if (done) return true;
+      if (op.kind == Operation::Kind::kGet && !op.pending() && op.result != frame.state) continue;
+      return i;
     }
-    return false;
+    return ops_.size();
   }
 
   const std::vector<Operation>& ops_;
   const CheckOptions& options_;
+  std::vector<bool> linearized_;
+  std::vector<Frame> stack_;
   std::unordered_set<std::string> visited_;
   bool exhausted_ = false;
 };

@@ -166,7 +166,7 @@ TEST(ChaosTest, SegmentStorageKillAndRestartRecoversMidTraffic) {
   // restarts from its own segment files (SimCluster::restart reopens the
   // same log directory) instead of returning empty, then closes whatever
   // gap remains via normal catch-up / snapshot install. Forces segment
-  // storage regardless of the MCSMR_LOG_STORAGE matrix variant.
+  // storage regardless of the matrix variant's log_storage.
   Config config;
   config.apply_overrides({{"log_storage", "segment"}});
   config.snapshot_interval_instances = 8;

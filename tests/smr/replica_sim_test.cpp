@@ -279,14 +279,20 @@ TEST(ReplicaSim, FiveReplicaCluster) {
   EXPECT_GE(executed_20, 3);
 }
 
+TEST(ReplicaSim, MatrixEnvPairsReachConfig) {
+  // Every pair in MCSMR_CONFIG lands in the cluster's Config, on top of
+  // whatever the matrix variant already set.
+  testing::ScopedMatrixEnv env("window_size=7 batch_max_bytes=999");
+  SimCluster cluster(Config{});
+  EXPECT_EQ(cluster.config().window_size, 7u);
+  EXPECT_EQ(cluster.config().batch_max_bytes, 999u);
+}
+
 TEST(ReplicaSim, BothQueueImplsServeTraffic) {
-  // Explicit cross-impl smoke regardless of which MCSMR_QUEUE_IMPL matrix
-  // variant is running: force each implementation in turn, then restore
-  // the environment for the rest of the binary.
-  const char* prev = std::getenv("MCSMR_QUEUE_IMPL");
-  const std::string saved = prev ? prev : "";
+  // Explicit cross-impl smoke regardless of which queue_impl the matrix
+  // variant runs: force each implementation in turn.
   for (const char* impl : {"mutex", "ring"}) {
-    ::setenv("MCSMR_QUEUE_IMPL", impl, 1);
+    testing::ScopedMatrixEnv env(std::string("queue_impl=") + impl);
     SimCluster cluster(Config{});
     cluster.start();
     ASSERT_TRUE(cluster.wait_for_leader().has_value()) << impl;
@@ -297,41 +303,25 @@ TEST(ReplicaSim, BothQueueImplsServeTraffic) {
     }
     cluster.stop();
   }
-  if (prev) {
-    ::setenv("MCSMR_QUEUE_IMPL", saved.c_str(), 1);
-  } else {
-    ::unsetenv("MCSMR_QUEUE_IMPL");
-  }
 }
 
 TEST(ReplicaSim, RingReplyPathBatchesWakeups) {
   // The ring reply path coalesces ServiceManager->ClientIO hand-offs:
   // after a burst of traffic, wake-ups must not exceed replies, and the
   // replies must all have arrived (no reply stranded on a ring).
-  Config config;
-  config.apply_overrides({{"queue_impl", "ring"}});
-  const char* prev = std::getenv("MCSMR_QUEUE_IMPL");
-  const std::string saved = prev ? prev : "";
-  ::setenv("MCSMR_QUEUE_IMPL", "ring", 1);
-  {
-    SimCluster cluster(config);
-    cluster.start();
-    ASSERT_TRUE(cluster.wait_for_leader().has_value());
-    auto client = cluster.make_client(71);
-    for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(client.call(Bytes{static_cast<std::uint8_t>(i)}).has_value()) << i;
-    }
-    const std::uint64_t wakeups = cluster.replica(0).shared().reply_wakeups.load();
-    const std::uint64_t executed = cluster.replica(0).executed_requests();
-    EXPECT_GT(wakeups, 0u) << "ring path should signal the ClientIO threads";
-    EXPECT_LE(wakeups, executed) << "more wake-ups than replies";
-    cluster.stop();
+  testing::ScopedMatrixEnv env("queue_impl=ring");
+  SimCluster cluster(Config{});
+  cluster.start();
+  ASSERT_TRUE(cluster.wait_for_leader().has_value());
+  auto client = cluster.make_client(71);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(client.call(Bytes{static_cast<std::uint8_t>(i)}).has_value()) << i;
   }
-  if (prev) {
-    ::setenv("MCSMR_QUEUE_IMPL", saved.c_str(), 1);
-  } else {
-    ::unsetenv("MCSMR_QUEUE_IMPL");
-  }
+  const std::uint64_t wakeups = cluster.replica(0).shared().reply_wakeups.load();
+  const std::uint64_t executed = cluster.replica(0).executed_requests();
+  EXPECT_GT(wakeups, 0u) << "ring path should signal the ClientIO threads";
+  EXPECT_LE(wakeups, executed) << "more wake-ups than replies";
+  cluster.stop();
 }
 
 TEST(ReplicaSim, FollowersSkipReplyHandOffForUnknownClients) {

@@ -23,7 +23,7 @@ struct TcpCluster {
     replicas_.resize(static_cast<std::size_t>(config.n));
     for (int id = 0; id < config.n; ++id) {
       builders.emplace_back([this, id, peer_base_port] {
-        // Factory form so the MCSMR_PARTITIONS matrix variant can shard
+        // Factory form so the partitioned matrix variant can shard
         // the service (the unique_ptr convenience requires 1 partition).
         replicas_[static_cast<std::size_t>(id)] = Replica::create_tcp(
             config_, static_cast<ReplicaId>(id), peer_base_port, /*client_port=*/0,

@@ -1,15 +1,11 @@
 // Integration-test fixture: a full SimNet cluster of real threaded
 // replicas plus helper accessors.
 //
-// Five environment variables parameterize every cluster built here (and
-// the TCP fixture), and tests/CMakeLists.txt registers the replica_sim,
-// chaos and replica_tcp binaries extra times with them set, so tier-1
-// exercises the full matrix:
-//   MCSMR_QUEUE_IMPL    ("mutex" | "ring")      -> Config::queue_impl
-//   MCSMR_EXECUTOR_IMPL ("serial" | "affinity") -> Config::executor_impl
-//   MCSMR_PARTITIONS    ("1", "2", ...)         -> Config::num_partitions
-//   MCSMR_LOG_STORAGE   ("memory" | "segment")  -> Config::log_storage
-//   MCSMR_READ_PATH     ("consensus" | "lease") -> Config::read_path
+// One environment variable parameterizes every cluster built here (and
+// the TCP fixture): MCSMR_CONFIG="key=value key=value ...", whitespace-
+// separated Config::apply_overrides pairs. tests/CMakeLists.txt registers
+// the replica_sim, chaos and replica_tcp binaries extra times with it set
+// (the MCSMR_TEST_MATRIX list), so tier-1 exercises the full matrix.
 //
 // Under segment storage each cluster gets a private temp log directory
 // (removed in the destructor) unless the test pinned Config::log_dir
@@ -22,7 +18,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,26 +31,30 @@
 
 namespace mcsmr::smr::testing {
 
-/// Apply the MCSMR_QUEUE_IMPL / MCSMR_EXECUTOR_IMPL / MCSMR_PARTITIONS /
-/// MCSMR_LOG_STORAGE / MCSMR_READ_PATH overrides (if set).
+/// Apply the MCSMR_CONFIG overrides (if set) on top of `config`.
 inline Config apply_matrix_env(Config config) {
-  if (const char* impl = std::getenv("MCSMR_QUEUE_IMPL")) {
-    config.apply_overrides({{"queue_impl", impl}});
-  }
-  if (const char* impl = std::getenv("MCSMR_EXECUTOR_IMPL")) {
-    config.apply_overrides({{"executor_impl", impl}});
-  }
-  if (const char* partitions = std::getenv("MCSMR_PARTITIONS")) {
-    config.apply_overrides({{"num_partitions", partitions}});
-  }
-  if (const char* storage = std::getenv("MCSMR_LOG_STORAGE")) {
-    config.apply_overrides({{"log_storage", storage}});
-  }
-  if (const char* read_path = std::getenv("MCSMR_READ_PATH")) {
-    config.apply_overrides({{"read_path", read_path}});
+  if (const char* pairs = std::getenv("MCSMR_CONFIG")) {
+    std::istringstream in(pairs);
+    config.apply_overrides(Config::parse_pairs({std::istream_iterator<std::string>(in), {}}));
   }
   return config;
 }
+
+/// Appends `pairs` to MCSMR_CONFIG for one scope (later pairs win), so a
+/// test can force a setting on top of whichever matrix variant runs. An
+/// unset variable is restored as "", which also means no pairs.
+class ScopedMatrixEnv {
+ public:
+  explicit ScopedMatrixEnv(const std::string& pairs) {
+    const char* prev = std::getenv("MCSMR_CONFIG");
+    saved_ = prev ? prev : "";
+    ::setenv("MCSMR_CONFIG", (saved_ + " " + pairs).c_str(), 1);
+  }
+  ~ScopedMatrixEnv() { ::setenv("MCSMR_CONFIG", saved_.c_str(), 1); }
+
+ private:
+  std::string saved_;
+};
 
 /// A fresh process-unique directory under the system temp dir.
 inline std::string unique_log_dir() {
