@@ -22,7 +22,7 @@ ZkReplica::ZkReplica(const Config& config, ReplicaId self,
     : config_(baseline_config(config)), self_(self), params_(params), shared_(config.n),
       request_queue_(config.request_queue_cap, "RequestQueue"),
       sync_queue_(config.request_queue_cap, "SyncQueue"),
-      commit_queue_(config.decision_queue_cap, "CommitQueue"),
+      commit_queue_(smr::kDecisionQueueCap, "CommitQueue"),
       transport_(std::move(transport)), service_(std::move(service)),
       reply_cache_(/*stripes=*/1, config.admitted_ttl_ns), engine_(config_, self),
       replica_io_(config_, self, *transport_, unused_dispatcher_, shared_,
@@ -38,8 +38,9 @@ std::unique_ptr<ZkReplica> ZkReplica::create_sim(const Config& config, ReplicaId
   auto replica = std::unique_ptr<ZkReplica>(
       new ZkReplica(config, self, std::move(transport), std::move(service), params));
   replica->client_io_ = std::make_unique<smr::SimClientIo>(
-      replica->config_, net, replica_nodes[self], replica->request_queue_,
-      replica->reply_cache_, replica->shared_);
+      replica->config_, net, replica_nodes[self],
+      std::vector<smr::RequestGate::Intake>{{&replica->request_queue_, &replica->reply_cache_}},
+      /*router=*/nullptr, replica->shared_);
   return replica;
 }
 

@@ -98,8 +98,6 @@ void Config::apply_overrides(const std::map<std::string, std::string>& overrides
       parse_into(proposal_queue_cap, key, value);
     } else if (key == "request_payload_bytes") {
       parse_into(request_payload_bytes, key, value);
-    } else if (key == "reply_payload_bytes") {
-      parse_into(reply_payload_bytes, key, value);
     } else if (key == "queue_impl") {
       queue_impl = parse_choice(key, value, {QueueImpl::kMutex, QueueImpl::kRing});
     } else if (key == "executor_impl") {

@@ -17,11 +17,11 @@ using ReplicaId = std::uint32_t;
 
 /// Backend of the hot pipeline hand-offs (Batcher->Protocol ProposalQueue
 /// and the per-ClientIO-thread reply queues). Both backends run the same
-/// code paths; only the queue underneath changes (see backend_for()):
+/// code paths; only the PipelineQueue underneath changes:
 ///   kMutex — instrumented BoundedBlockingQueue (the paper's design),
 ///            kept as the A/B baseline;
-///   kRing  — lock-free rings with spin-then-park waiting
-///            (PipelineQueue over SpscRing; see common/wait_strategy.hpp).
+///   kRing  — the lock-free MpmcRing with spin-then-park waiting
+///            (see common/queue.hpp and common/wait_strategy.hpp).
 enum class QueueImpl { kMutex, kRing };
 
 const char* to_string(QueueImpl impl);
@@ -82,18 +82,10 @@ struct Config {
   /// by Service::classify() key hash; multi-partition/global requests run
   /// through the cross-partition barrier (see smr/partition.hpp).
   std::uint32_t num_partitions = 1;
-  /// How long partitions may disagree about the leader before the failure
-  /// detector forces the stragglers to re-elect (cross-partition requests
-  /// need all pipelines led by the same replica to make progress).
-  std::uint64_t partition_align_timeout_ns = 400'000'000;
 
   // --- Queue bounds (flow control by backpressure, §V-E) ---
   std::size_t request_queue_cap = 1000;  ///< paper Table I: max 1000
   std::size_t proposal_queue_cap = 20;   ///< paper Table I: max 20
-  std::size_t dispatcher_queue_cap = 8192;
-  std::size_t decision_queue_cap = 2048;
-  std::size_t send_queue_cap = 8192;
-  std::size_t reply_queue_cap = 8192;
 
   // --- Hot-path queue implementation (§V-E; bench_ablation_queues) ---
   QueueImpl queue_impl = QueueImpl::kRing;  ///< ProposalQueue + reply path
@@ -116,9 +108,6 @@ struct Config {
   /// clock RATE drift over one lease window (constant offsets cancel out of
   /// the duration-based arithmetic entirely).
   std::uint64_t lease_drift_margin_ns = 20'000'000;
-  /// Spin budget of the lease read fast-path while waiting for execution to
-  /// reach the read-point; when exhausted the read falls back to consensus.
-  std::uint32_t lease_read_spin = 4096;
 
   // --- Clock-fault injection (tests only; both default to a true clock) ---
   /// Constant offset added to this node's protocol clock.
@@ -154,6 +143,8 @@ struct Config {
 
   // --- Workload shape (used by clients/benches; paper §VI) ---
   std::size_t request_payload_bytes = 128;
+  /// NullService's reply size (its default) and what bench clients expect
+  /// back from it. Not an override key: no service reads it per replica.
   std::size_t reply_payload_bytes = 8;
 
   /// Prepended to every module thread's registered name (benches co-host
@@ -180,7 +171,7 @@ struct Config {
   /// MCSMR_CONFIG and bench/e2e workloads all come through here).
   /// Accepted keys: n, window_size, batch_max_bytes, batch_timeout_ms,
   /// client_io_threads, request_queue_cap, proposal_queue_cap,
-  /// request_payload_bytes, reply_payload_bytes, queue_impl (mutex|ring),
+  /// request_payload_bytes, queue_impl (mutex|ring),
   /// executor_impl (serial|affinity), executor_workers, num_partitions,
   /// log_storage (memory|segment), log_dir, fsync_batch_ns,
   /// preexec_window, read_path (consensus|lease), lease_duration_ms,

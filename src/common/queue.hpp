@@ -14,14 +14,15 @@
 // in the owning thread's ThreadStats — exactly the JVM states the paper
 // reports in Figs 1b/8/14.
 //
-// SpscRing and MpmcRing are the lock-free alternatives. PipelineQueue
-// composes either ring with the spin-then-park WaitStrategy
-// (common/wait_strategy.hpp) into a drop-in blocking queue, so the hot
-// Fig 3 edges (Batcher -> Protocol ProposalQueue, ServiceManager ->
-// ClientIO reply queues) can run lock-free while keeping the exact
-// backpressure and close semantics of BoundedBlockingQueue. The
-// `queue_impl` config knob selects the backend per deployment;
-// bench_ablation_queues A/Bs the two on the real edge traffic.
+// MpmcRing is the one lock-free alternative. PipelineQueue composes it
+// with the spin-then-park WaitStrategy (common/wait_strategy.hpp) into a
+// drop-in blocking queue, so the hot Fig 3 edges (Batcher -> Protocol
+// ProposalQueue, ServiceManager -> ClientIO reply queues, the affinity
+// executor's worker queues) can run lock-free while keeping the exact
+// backpressure and close semantics of BoundedBlockingQueue — whatever
+// number of threads produce into them. The `queue_impl` config knob
+// selects the backend per deployment; bench_ablation_queues A/Bs the two
+// on the real edge traffic.
 #pragma once
 
 #include <atomic>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/config.hpp"
 #include "common/wait_strategy.hpp"
 #include "metrics/thread_stats.hpp"
 
@@ -187,61 +189,9 @@ class BoundedBlockingQueue {
   std::string name_;
 };
 
-/// Single-producer single-consumer lock-free ring buffer (Lamport queue
-/// with cached indices). Capacity is rounded up to a power of two.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    buf_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  /// Non-consuming push: `item` is moved from only on success, so a
-  /// blocking caller can retry the same value after waiting out a full
-  /// ring (see PipelineQueue).
-  bool try_push(T& item) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head - cached_tail_ > mask_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head - cached_tail_ > mask_) return false;
-    }
-    buf_[head & mask_] = std::move(item);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-  bool try_push(T&& item) { return try_push(item); }
-
-  std::optional<T> try_pop() {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == cached_head_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail == cached_head_) return std::nullopt;
-    }
-    T item = std::move(buf_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return item;
-  }
-
-  std::size_t size() const {
-    return head_.load(std::memory_order_acquire) - tail_.load(std::memory_order_acquire);
-  }
-  /// Physical slot count (requested capacity rounded up to a power of 2).
-  std::size_t capacity() const { return mask_ + 1; }
-
- private:
-  std::vector<T> buf_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::size_t cached_tail_ = 0;
-  alignas(64) std::atomic<std::size_t> tail_{0};
-  alignas(64) std::size_t cached_head_ = 0;
-};
-
 /// Bounded multi-producer multi-consumer lock-free queue (Dmitry Vyukov's
-/// sequence-numbered ring). Non-blocking only; used for ablations.
+/// sequence-numbered ring). Non-blocking; PipelineQueue adds the blocking
+/// and close semantics on top.
 template <typename T>
 class MpmcRing {
  public:
@@ -322,22 +272,6 @@ class MpmcRing {
   alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
 };
 
-/// Backend selector for PipelineQueue. kMutex is the instrumented
-/// BoundedBlockingQueue; the ring backends are lock-free with
-/// spin-then-park waiting. kSpsc requires exactly one producer thread and
-/// one consumer thread (the Batcher->Protocol and per-ClientIO reply
-/// edges qualify); kMpmc is safe for any fan-in/fan-out.
-enum class QueueBackend { kMutex, kSpsc, kMpmc };
-
-inline const char* to_string(QueueBackend backend) {
-  switch (backend) {
-    case QueueBackend::kMutex: return "mutex";
-    case QueueBackend::kSpsc: return "spsc";
-    case QueueBackend::kMpmc: return "mpmc";
-  }
-  return "?";
-}
-
 namespace detail {
 
 /// Runtime-polymorphic core of PipelineQueue. One virtual hop per op; the
@@ -386,10 +320,11 @@ class MutexPipelineQueue final : public PipelineQueueImpl<T> {
 /// Lock-free ring + two spin-then-park wait strategies (not-empty for
 /// consumers, not-full for producers). The logical capacity is enforced on
 /// top of the ring's power-of-two physical size so flow-control bounds
-/// (e.g. the paper's ProposalQueue cap of 20, Table I) hold exactly. With
-/// the SPSC ring the producer-side size() read is conservative, so the
-/// bound is strict; with the MPMC ring concurrent producers can overshoot
-/// by at most (producers - 1) transiently.
+/// (e.g. the paper's ProposalQueue cap of 20, Table I) hold exactly. A
+/// lone producer's size() read is conservative (its own enqueue position
+/// is exact, the consumer's may be stale), so on a single-producer edge
+/// the bound is strict; concurrent producers can overshoot it by at most
+/// (producers - 1) transiently.
 ///
 /// Close semantics: push fails after close is observed; pop drains
 /// whatever was pushed happens-before close() and then returns nullopt
@@ -400,14 +335,10 @@ class MutexPipelineQueue final : public PipelineQueueImpl<T> {
 /// drained and exited, stranding that item. This only happens in the
 /// shutdown window, where the pipeline discards in-flight work anyway
 /// (clients retry; see ring_stress_test CloseUnderFire for the bound).
-template <typename T, typename Ring>
+template <typename T>
 class RingPipelineQueue final : public PipelineQueueImpl<T> {
  public:
-  RingPipelineQueue(std::size_t capacity, std::uint32_t spin_budget)
-      : ring_(capacity == 0 ? 1 : capacity),
-        capacity_(capacity == 0 ? 1 : capacity),
-        not_empty_(spin_budget),
-        not_full_(spin_budget) {}
+  explicit RingPipelineQueue(std::size_t capacity) : ring_(capacity), capacity_(capacity) {}
 
   bool push(T item) override {
     for (;;) {
@@ -513,7 +444,7 @@ class RingPipelineQueue final : public PipelineQueueImpl<T> {
     return item;
   }
 
-  Ring ring_;
+  MpmcRing<T> ring_;
   const std::size_t capacity_;
   std::atomic<bool> closed_{false};
   WaitStrategy not_empty_;
@@ -531,27 +462,14 @@ class RingPipelineQueue final : public PipelineQueueImpl<T> {
 template <typename T>
 class PipelineQueue {
  public:
-  PipelineQueue(QueueBackend backend, std::size_t capacity, std::string name,
-                std::uint32_t spin_budget = WaitStrategy::kDefaultSpinBudget)
-      : backend_(backend), capacity_(capacity == 0 ? 1 : capacity), name_(std::move(name)) {
-    switch (backend_) {
-      case QueueBackend::kMutex:
-        impl_ = std::make_unique<detail::MutexPipelineQueue<T>>(capacity_, name_);
-        break;
-      case QueueBackend::kSpsc:
-        impl_ = std::make_unique<detail::RingPipelineQueue<T, SpscRing<T>>>(capacity_,
-                                                                            spin_budget);
-        break;
-      case QueueBackend::kMpmc:
-        impl_ = std::make_unique<detail::RingPipelineQueue<T, MpmcRing<T>>>(capacity_,
-                                                                            spin_budget);
-        break;
+  PipelineQueue(QueueImpl impl, std::size_t capacity, std::string name)
+      : capacity_(capacity == 0 ? 1 : capacity), name_(std::move(name)) {
+    if (impl == QueueImpl::kMutex) {
+      impl_ = std::make_unique<detail::MutexPipelineQueue<T>>(capacity_, name_);
+    } else {
+      impl_ = std::make_unique<detail::RingPipelineQueue<T>>(capacity_);
     }
   }
-
-  /// BoundedBlockingQueue-compatible convenience ctor (unit rigs).
-  explicit PipelineQueue(std::size_t capacity, std::string name = "queue")
-      : PipelineQueue(QueueBackend::kMutex, capacity, std::move(name)) {}
 
   PipelineQueue(const PipelineQueue&) = delete;
   PipelineQueue& operator=(const PipelineQueue&) = delete;
@@ -583,10 +501,8 @@ class PipelineQueue {
   std::size_t size() const { return impl_->size(); }
   std::size_t capacity() const { return capacity_; }
   const std::string& name() const { return name_; }
-  QueueBackend backend() const { return backend_; }
 
  private:
-  QueueBackend backend_;
   std::size_t capacity_;
   std::string name_;
   std::unique_ptr<detail::PipelineQueueImpl<T>> impl_;

@@ -8,23 +8,14 @@
 //
 // The ServiceManager hands each executed reply back to the ClientIO thread
 // owning that client's connection via send_reply(); the owning thread does
-// the serialization and the network write (Fig 3's per-thread reply queue).
+// the serialization and the network write (Fig 3's per-thread reply queue,
+// one ReplyOutbox per IO thread; see smr/reply_outbox.hpp).
 #pragma once
 
-#include <memory>
-
 #include "common/bytes.hpp"
-#include "common/clock.hpp"
 #include "smr/client_proto.hpp"
 
 namespace mcsmr::smr {
-
-/// Ring reply path: how long send_reply may wait on a full per-IO-thread
-/// reply ring before dropping the reply (counted in
-/// SharedState::dropped_replies; the client retry is served from the
-/// reply cache). Bounding the wait keeps the ServiceManager out of the
-/// pipeline's backpressure cycle.
-inline constexpr std::uint64_t kReplyPushBudgetNs = 50 * kMillis;
 
 class ClientIo {
  public:
@@ -33,8 +24,8 @@ class ClientIo {
   virtual void start() = 0;
   virtual void stop() = 0;
 
-  /// Route a reply to the client's connection (thread-safe; called by the
-  /// ServiceManager thread).
+  /// Route a reply to the client's connection (thread-safe; called by
+  /// every pipeline's ServiceManager or executor worker threads).
   virtual void send_reply(paxos::ClientId client, paxos::RequestSeq seq, ReplyStatus status,
                           const Bytes& payload) = 0;
 };

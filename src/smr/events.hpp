@@ -67,18 +67,13 @@ using DecisionEvent = std::variant<Decision, SnapshotInstallEvent, BarrierNudgeE
 
 using RequestQueue = BoundedBlockingQueue<paxos::Request>;
 /// Batcher -> Protocol: the hottest hand-off. Backend selected per
-/// Config::queue_impl (single batcher producer, single protocol consumer,
-/// so the ring variant is SPSC).
+/// Config::queue_impl (one Batcher producer, so the ring keeps the cap
+/// strict).
 using ProposalQueue = PipelineQueue<Bytes>;
 using DispatcherQueue = BoundedBlockingQueue<DispatchEvent>;
+inline constexpr std::size_t kDispatcherQueueCap = 8192;
 using DecisionQueue = BoundedBlockingQueue<DecisionEvent>;
+inline constexpr std::size_t kDecisionQueueCap = 2048;
 using SendQueue = BoundedBlockingQueue<Bytes>;  // encoded frames, one per peer
-
-/// Map the config knob to a PipelineQueue backend for one edge.
-/// `fan_in`: more than one producer (or consumer) thread touches the edge.
-inline QueueBackend backend_for(QueueImpl impl, bool fan_in) {
-  if (impl == QueueImpl::kMutex) return QueueBackend::kMutex;
-  return fan_in ? QueueBackend::kMpmc : QueueBackend::kSpsc;
-}
 
 }  // namespace mcsmr::smr

@@ -36,12 +36,10 @@ void AffinityExecutor::start() {
   for (std::uint32_t i = 0; i < worker_count_; ++i) {
     frontier_[i].store(0, std::memory_order_relaxed);
     outstanding_[i].store(0, std::memory_order_relaxed);
-    // Strictly SPSC: the scheduler is the only producer, worker i the only
-    // consumer. The mutex backend is not plumbed here: the executor is
-    // itself the alternative to the serial baseline, so the A/B knob is
-    // executor_impl, not queue_impl.
+    // Always the ring: the executor is itself the alternative to the
+    // serial baseline, so the A/B knob is executor_impl, not queue_impl.
     queues_.push_back(std::make_unique<PipelineQueue<Task>>(
-        QueueBackend::kSpsc, kWorkerQueueCap, "AffinityQueue-" + std::to_string(i)));
+        QueueImpl::kRing, kWorkerQueueCap, "AffinityQueue-" + std::to_string(i)));
   }
   for (std::uint32_t i = 0; i < worker_count_; ++i) {
     threads_.emplace_back(config_.thread_name_prefix + "AffWorker-" + std::to_string(i),

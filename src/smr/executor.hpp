@@ -38,7 +38,7 @@ namespace mcsmr::smr {
 ///     replica schedules from identical, pre-decided footprints.
 ///   * Every key with work in flight is owned by exactly one worker (a
 ///     live KEY CHAIN); the scheduler (the ServiceManager thread) enqueues
-///     every single-owner request onto its owning worker's SPSC ring in
+///     every single-owner request onto its owning worker's ring in
 ///     decided order and moves on immediately — non-conflicting work
 ///     flows continuously across batch boundaries. A key whose chain has
 ///     fully drained re-opens on the least-loaded worker (hash-slice
@@ -63,8 +63,8 @@ namespace mcsmr::smr {
 ///     unreached markers.
 ///   * Workers complete each request end-to-end: execute_at(), reply
 ///     cache update, executed_requests, send_reply. Replies flow as each
-///     request finishes (the per-IO-thread reply rings run in MPMC mode
-///     under this executor). Per-client reply order is preserved because
+///     request finishes (the per-IO-thread reply queues take any number
+///     of producers). Per-client reply order is preserved because
 ///     the scheduler dedups by client seq and clients are closed-loop.
 ///   * The executed-instance frontier (lease-read bound) is published by
 ///     frontier TOKENS: publish_frontier(i) pushes a token to every ring;
@@ -201,7 +201,7 @@ class AffinityExecutor {
   SharedState& shared_;
   const std::uint32_t worker_count_;
 
-  /// One SPSC ring per worker; (re)built by start() — close() is
+  /// One ring per worker; (re)built by start() — close() is
   /// permanent per queue, so a restart needs fresh rings.
   std::vector<std::unique_ptr<PipelineQueue<Task>>> queues_;
   std::vector<metrics::NamedThread> threads_;

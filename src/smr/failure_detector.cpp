@@ -4,6 +4,13 @@
 
 namespace mcsmr::smr {
 
+namespace {
+/// How long partitions may disagree about the leader before the stragglers
+/// are forced to re-elect (cross-partition requests need all pipelines led
+/// by the same replica to make progress).
+constexpr std::uint64_t kPartitionAlignTimeoutNs = 400 * kMillis;
+}  // namespace
+
 FailureDetector::FailureDetector(const Config& config, ReplicaId self, ReplicaIo& replica_io,
                                  DispatcherQueue& dispatcher, SharedState& shared)
     : FailureDetector(config, self, replica_io,
@@ -112,7 +119,7 @@ void FailureDetector::tick(std::uint64_t now) {
         misaligned_since_ns_[p] = 0;
       } else if (misaligned_since_ns_[p] == 0) {
         misaligned_since_ns_[p] = now;
-      } else if (now - misaligned_since_ns_[p] > config_.partition_align_timeout_ns &&
+      } else if (now - misaligned_since_ns_[p] > kPartitionAlignTimeoutNs &&
                  last_suspected_view_[p] != view) {
         // Mark suspected only if the event actually landed: a dropped
         // try_push (full dispatcher) must retry on the next tick or this

@@ -18,7 +18,7 @@
 // from a peer) is replica-level. The FD additionally keeps the pipelines'
 // leaders ALIGNED: cross-partition requests need every partition led by
 // the same replica to make progress, so a partition whose leader disagrees
-// with partition 0's for longer than Config::partition_align_timeout_ns is
+// with partition 0's for longer than kPartitionAlignTimeoutNs (400 ms) is
 // suspected into a new election until the leaders converge.
 #pragma once
 

@@ -25,10 +25,9 @@ Replica::Partition::Partition(const Config& replica_config, ReplicaId self,
     : index(partition_index), config(partition_config(replica_config, partition_index)),
       shared(config.n),
       request_queue(config.request_queue_cap, "RequestQueue"),
-      proposal_queue(backend_for(config.queue_impl, /*fan_in=*/false),
-                     config.proposal_queue_cap, "ProposalQueue"),
-      dispatcher_queue(config.dispatcher_queue_cap, "DispatcherQueue"),
-      decision_queue(config.decision_queue_cap, "DecisionQueue"),
+      proposal_queue(config.queue_impl, config.proposal_queue_cap, "ProposalQueue"),
+      dispatcher_queue(kDispatcherQueueCap, "DispatcherQueue"),
+      decision_queue(kDecisionQueueCap, "DecisionQueue"),
       service(std::move(svc)),
       reply_cache(config.reply_cache_stripes, config.admitted_ttl_ns),
       storage(paxos::make_log_storage(config, self, partition_index)),

@@ -4,6 +4,12 @@
 
 namespace mcsmr::smr {
 
+namespace {
+/// Encoded frames waiting for one peer's sender thread; a full queue is a
+/// counted drop (SharedState::dropped_peer_frames), never a block.
+constexpr std::size_t kSendQueueCap = 8192;
+}  // namespace
+
 ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport)
     : config_(config), self_(self), transport_(transport), names_(ThreadNames{}) {
   names_.rcv_prefix = config.thread_name_prefix + names_.rcv_prefix;
@@ -12,7 +18,7 @@ ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transp
   for (int peer = 0; peer < config.n; ++peer) {
     if (static_cast<ReplicaId>(peer) == self_) continue;
     send_queues_[static_cast<std::size_t>(peer)] = std::make_unique<SendQueue>(
-        config.send_queue_cap, "SendQueue-" + std::to_string(peer));
+        kSendQueueCap, "SendQueue-" + std::to_string(peer));
   }
 }
 

@@ -24,9 +24,12 @@
 // requirement.
 //
 // Why the read point is the PROPOSAL frontier and not first_undecided:
-// every replica is a learner (Accepts are broadcast) and every executing
-// replica replies to clients, so a follower can decide, execute and ack
-// a write one network hop BEFORE this leader collects its own quorum for
+// every replica is a learner and every executing replica replies to
+// clients. At n=3 a follower decides on the Propose itself (the leader's
+// vote plus its own make the quorum; its Accept goes to the proposer
+// only); at n >= 5 Accepts are broadcast and a follower decides once
+// q-2 more arrive. Either way a follower can decide, execute and ack a
+// write one network hop BEFORE this leader collects its own quorum for
 // it. A write acknowledged anywhere was, however, necessarily proposed
 // by this leader first — and proposal_frontier is published before any
 // Propose leaves the Protocol thread — so waiting for execution to reach
@@ -171,7 +174,7 @@ class RequestGate {
     const std::uint64_t read_point = pipe.proposal_frontier.load(std::memory_order_relaxed);
     for (std::uint32_t spins = 0;
          pipe.executed_frontier.load(std::memory_order_acquire) < read_point; ++spins) {
-      if (spins >= config_.lease_read_spin) return fall_back();
+      if (spins >= kLeaseReadSpin) return fall_back();
       std::this_thread::yield();
     }
     if (!lease_live()) return fall_back();
@@ -182,6 +185,10 @@ class RequestGate {
     shared_.lease_reads.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
+
+  /// Spin budget of the lease read fast-path while waiting for execution to
+  /// reach the read point; when exhausted the read falls back to consensus.
+  static constexpr std::uint32_t kLeaseReadSpin = 4096;
 
   // Owned copy, not a reference: a stored Config& tied this object's
   // lifetime to the constructor argument (the PR-6 dangling-Config bug
@@ -194,8 +201,8 @@ class RequestGate {
 };
 
 /// Small striped map from client id to connection handle, used by ClientIo
-/// implementations to route replies (written on first request, read per
-/// reply by the ServiceManager's send_reply path).
+/// implementations to route replies (written on every request, read per
+/// reply by send_reply and again by the IO thread that delivers it).
 template <typename V>
 class ClientRegistry {
  public:

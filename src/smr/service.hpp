@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/config.hpp"
 #include "paxos/types.hpp"
 
 namespace mcsmr::smr {
@@ -123,7 +124,8 @@ class Service {
 /// answers with a fixed-size byte array — isolating the ordering path.
 class NullService : public Service {
  public:
-  explicit NullService(std::size_t reply_bytes = 8) : reply_(reply_bytes, 0) {}
+  explicit NullService(std::size_t reply_bytes = Config{}.reply_payload_bytes)
+      : reply_(reply_bytes, 0) {}
   Bytes execute(const Bytes& /*request*/) override {
     // Atomic: conflict-free requests execute concurrently under the
     // affinity executor, and tests/benches probe executed() cross-thread.

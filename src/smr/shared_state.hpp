@@ -36,9 +36,9 @@ struct SharedState {
   /// First instance NOT yet proposed by this leader — the lease read
   /// path's read point. Published BEFORE any Propose leaves the Protocol
   /// thread, so it covers every write any replica could have acked: all
-  /// replicas are learners (Accepts are broadcast) and a follower decides
-  /// — and replies to the client — one network hop BEFORE the leader
-  /// collects its own quorum, so the leader's first_undecided is NOT a
+  /// replicas are learners and a follower can decide — and reply to the
+  /// client — one network hop BEFORE the leader collects its own quorum
+  /// (see request_gate.hpp), so the leader's first_undecided is NOT a
   /// safe read point; its proposal frontier is.
   std::atomic<std::uint64_t> proposal_frontier{0};
   /// Local-clock deadline of the leader lease (0 = no lease). Read by the
@@ -61,13 +61,13 @@ struct SharedState {
   std::atomic<std::uint64_t> dropped_batches{0};       ///< leadership-loss drains
   std::atomic<std::uint64_t> redirected_requests{0};
   std::atomic<std::uint64_t> cached_replies{0};
-  /// Ring reply path only: edge-triggered wake-ups sent to ClientIO
-  /// threads. replies/wakeups is the reply-batching factor the ring buys.
+  /// Edge-triggered wake-ups sent to ClientIO threads (ReplyOutbox).
+  /// replies/wakeups is the reply-batching factor of the hand-off.
   std::atomic<std::uint64_t> reply_wakeups{0};
-  /// Ring reply path only: replies dropped after the bounded push wait
-  /// (reply ring full for kReplyPushBudget). The drop keeps the
-  /// ServiceManager out of the backpressure cycle — the client retry is
-  /// answered from the reply cache, preserving exactly-once.
+  /// Replies dropped after the bounded push wait (reply queue full for
+  /// kReplyPushBudgetNs; ReplyOutbox). The drop keeps the ServiceManager
+  /// out of the backpressure cycle — the client retry is answered from
+  /// the reply cache, preserving exactly-once.
   std::atomic<std::uint64_t> dropped_replies{0};
   /// Lease read path: reads served locally without a Paxos instance, and
   /// reads that fell back to consensus (no lease / frontier lag).

@@ -11,34 +11,25 @@
 
 namespace mcsmr::smr {
 
-TcpClientIo::TcpClientIo(const Config& config, std::uint16_t port, RequestQueue& requests,
-                         ReplyCache& reply_cache, SharedState& shared)
-    : TcpClientIo(config, port, {RequestGate::Intake{&requests, &reply_cache}}, nullptr,
-                  shared) {}
-
 TcpClientIo::TcpClientIo(const Config& config, std::uint16_t port,
                          std::vector<RequestGate::Intake> intakes,
                          const PartitionRouter* router, SharedState& shared)
-    : config_(config), gate_(config, std::move(intakes), router, shared), shared_(shared),
-      io_threads_(config.client_io_threads < 1 ? 1 : config.client_io_threads),
-      wake_pending_(std::make_unique<std::atomic<bool>[]>(
-          static_cast<std::size_t>(io_threads_))) {
+    : config_(config), gate_(config, std::move(intakes), router, shared),
+      io_threads_(config.client_io_threads < 1 ? 1 : config.client_io_threads) {
   listener_ = net::TcpListener::bind(port);
   loops_.reserve(static_cast<std::size_t>(io_threads_));
   conns_.resize(static_cast<std::size_t>(io_threads_));
-  // Single pipeline: the ServiceManager thread is the only producer of a
-  // loop's reply queue (SPSC). Partitioned: every pipeline's
-  // ServiceManager produces, so the queue goes multi-producer — as does
-  // the affinity executor, whose workers reply directly.
-  const QueueBackend backend = backend_for(
-      config.queue_impl,
-      /*fan_in=*/config.num_partitions > 1 ||
-          config.executor_impl == ExecutorImpl::kAffinity);
   for (int t = 0; t < io_threads_; ++t) {
     loops_.push_back(std::make_unique<net::EventLoop>());
-    reply_queues_.push_back(std::make_unique<PipelineQueue<PendingReply>>(
-        backend, config.reply_queue_cap, "ReplyQueue-" + std::to_string(t)));
-    wake_pending_[static_cast<std::size_t>(t)].store(false, std::memory_order_relaxed);
+    // The wake is a drain task posted to the loop (post() cannot fail).
+    outboxes_.push_back(std::make_unique<ReplyOutbox>(
+        config.queue_impl, "ReplyQueue-" + std::to_string(t), shared, [this, t] {
+          loops_[static_cast<std::size_t>(t)]->post([this, t] {
+            outboxes_[static_cast<std::size_t>(t)]->on_wake(
+                [this, t](const ClientReplyFrame& reply) { deliver(t, reply); });
+          });
+          return true;
+        }));
   }
 }
 
@@ -59,7 +50,7 @@ void TcpClientIo::stop() {
   if (!started_) return;
   // Close the reply queues first so a ServiceManager blocked on a full
   // queue unwedges (its push fails) before the loops go away.
-  for (auto& queue : reply_queues_) queue->close();
+  for (auto& outbox : outboxes_) outbox->close();
   listener_->close();
   accept_thread_.join();
   for (auto& loop : loops_) loop->stop();
@@ -192,44 +183,20 @@ void TcpClientIo::close_connection(int thread_index, int fd) {
   table.erase(it);  // TcpStream destructor closes the fd
 }
 
-void TcpClientIo::drain_replies(int thread_index) {
-  auto& queue = *reply_queues_[static_cast<std::size_t>(thread_index)];
-  while (auto reply = queue.try_pop()) {
-    enqueue_frame(thread_index, reply->fd, std::move(reply->frame));
-  }
+void TcpClientIo::deliver(int thread_index, const ClientReplyFrame& reply) {
+  // The connection is looked up again here, on its loop: the client may
+  // have disconnected, or reconnected to another loop, since send_reply.
+  auto ref = clients_.get(reply.client_id);
+  if (!ref.has_value() || ref->thread != thread_index) return;
+  enqueue_frame(thread_index, ref->fd, encode_client_reply(reply));
 }
 
 void TcpClientIo::send_reply(paxos::ClientId client, paxos::RequestSeq seq,
                              ReplyStatus status, const Bytes& payload) {
   auto ref = clients_.get(client);
   if (!ref.has_value()) return;  // client disconnected
-  Bytes frame = encode_client_reply(ClientReplyFrame{client, seq, status, payload});
-  const int thread_index = ref->thread;
-  const int fd = ref->fd;
-
-  auto& queue = *reply_queues_[static_cast<std::size_t>(thread_index)];
-  // Bounded wait + counted drop rather than an unbounded block: see
-  // SimClientIo::send_reply for the deadlock cycle this avoids.
-  if (!queue.push_for(PendingReply{fd, std::move(frame)}, kReplyPushBudgetNs)) {
-    shared_.dropped_replies.fetch_add(1, std::memory_order_relaxed);
-    return;  // queue full for the whole budget, or shutting down
-  }
-  auto& pending = wake_pending_[static_cast<std::size_t>(thread_index)];
-  // Fence pairing with the drain task (clear-fence-drain), same protocol
-  // as SimClientIo::send_reply: either the drain sees this push, or the
-  // exchange reads false and a fresh drain task is posted.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (!pending.exchange(true, std::memory_order_seq_cst)) {
-    shared_.reply_wakeups.fetch_add(1, std::memory_order_relaxed);
-    loops_[static_cast<std::size_t>(thread_index)]->post([this, thread_index] {
-      // Clear the flag BEFORE popping: replies pushed after the clear
-      // get a fresh drain task, replies pushed before are caught here.
-      wake_pending_[static_cast<std::size_t>(thread_index)].store(false,
-                                                                 std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      drain_replies(thread_index);
-    });
-  }
+  outboxes_[static_cast<std::size_t>(ref->thread)]->push(
+      ClientReplyFrame{client, seq, status, payload});
 }
 
 }  // namespace mcsmr::smr

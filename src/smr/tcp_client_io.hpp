@@ -3,12 +3,9 @@
 //
 // Each IO thread owns an EventLoop; a connection lives on exactly one
 // loop for its lifetime. Replies are handed to the owning loop through
-// its reply queue (Fig 3's per-ClientIO-thread reply queue) and written by
-// that thread, with partial writes buffered and flushed on EPOLLOUT. One
-// drain task is posted per burst (edge-triggered via an atomic flag), so
-// a batch of B replies costs B queue ops + 1 post. Config::queue_impl
-// picks the queue's backend (lock-free ring or the paper's mutex queue;
-// see backend_for()).
+// its ReplyOutbox (Fig 3's per-ClientIO-thread reply queue), whose wake is
+// one drain task posted to the loop per burst; that thread serializes
+// and writes them, with partial writes buffered and flushed on EPOLLOUT.
 //
 // Backpressure: the admission gate pushes into the bounded RequestQueue
 // with a blocking push, stalling the IO thread — which therefore stops
@@ -26,19 +23,15 @@
 #include "net/frame.hpp"
 #include "net/tcp.hpp"
 #include "smr/client_io.hpp"
+#include "smr/reply_outbox.hpp"
 #include "smr/request_gate.hpp"
 
 namespace mcsmr::smr {
 
 class TcpClientIo : public ClientIo {
  public:
-  /// Binds 127.0.0.1:`port` (0 = ephemeral; see port()). Single-pipeline
-  /// convenience (legacy signature).
-  TcpClientIo(const Config& config, std::uint16_t port, RequestQueue& requests,
-              ReplyCache& reply_cache, SharedState& shared);
-  /// One intake per partition; `router` may be null for a single pipeline.
-  /// With several pipelines the reply rings get one producer per
-  /// ServiceManager, so the ring backend switches from SPSC to MPMC.
+  /// Binds 127.0.0.1:`port` (0 = ephemeral; see port()). One intake per
+  /// partition; `router` may be null for a single pipeline.
   TcpClientIo(const Config& config, std::uint16_t port,
               std::vector<RequestGate::Intake> intakes, const PartitionRouter* router,
               SharedState& shared);
@@ -66,26 +59,20 @@ class TcpClientIo : public ClientIo {
     int fd = -1;
   };
 
-  /// A reply staged on a loop's reply queue, bound for connection `fd`.
-  struct PendingReply {
-    int fd = -1;
-    Bytes frame;
-  };
-
   void accept_loop();
   void adopt(int thread_index, net::TcpStream stream);
   void on_readable(int thread_index, int fd);
   void flush_writes(int thread_index, int fd);
   void close_connection(int thread_index, int fd);
   void enqueue_frame(int thread_index, int fd, Bytes frame);
-  void drain_replies(int thread_index);
+  /// Serialize and write one reply (runs on loop thread `thread_index`).
+  void deliver(int thread_index, const ClientReplyFrame& reply);
 
   // Owned copy, not a reference: a stored Config& tied this object's
   // lifetime to the constructor argument (the PR-6 dangling-Config bug
   // class); lint_invariants.py forbids storing the parameter by ref.
   const Config config_;
   RequestGate gate_;
-  SharedState& shared_;
   const int io_threads_;
 
   std::optional<net::TcpListener> listener_;
@@ -95,12 +82,7 @@ class TcpClientIo : public ClientIo {
 
   ClientRegistry<ConnRef> clients_;
 
-  // Reply path: one queue + wake flag per loop. The flag is cleared by the
-  // drain task BEFORE it pops, so the producer's push-then-exchange order
-  // guarantees every reply is seen by some drain (same pattern as
-  // SimClientIo).
-  std::vector<std::unique_ptr<PipelineQueue<PendingReply>>> reply_queues_;
-  std::unique_ptr<std::atomic<bool>[]> wake_pending_;
+  std::vector<std::unique_ptr<ReplyOutbox>> outboxes_;  // one per loop
 
   std::vector<metrics::NamedThread> threads_;
   metrics::NamedThread accept_thread_;

@@ -58,6 +58,12 @@ TEST(Config, OneSpellingPerKey) {
   EXPECT_THROW(Config::from_args({"queue_spin_budget=256"}), std::invalid_argument);
 }
 
+TEST(Config, NoKeyForWhatNoReplicaReads) {
+  // Only NullService's default reads reply_payload_bytes, so a key for it
+  // would be silently ignored.
+  EXPECT_THROW(Config::from_args({"reply_payload_bytes=64"}), std::invalid_argument);
+}
+
 TEST(Config, RejectsNumbersItCannotHold) {
   // A sign or whitespace is malformed, not wrapped modulo 2^64.
   EXPECT_THROW(Config::from_args({"executor_workers=-1"}), std::invalid_argument);

@@ -9,8 +9,9 @@ namespace mcsmr::smr {
 namespace {
 
 TEST(NullService, FixedReplySize) {
-  NullService service(8);
+  NullService service;  // the paper's 8-byte reply, from Config
   Bytes reply = service.execute(Bytes(128, 0xFF));
+  EXPECT_EQ(reply.size(), Config{}.reply_payload_bytes);
   EXPECT_EQ(reply.size(), 8u);
   EXPECT_EQ(service.executed(), 1u);
 }
