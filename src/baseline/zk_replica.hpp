@@ -13,7 +13,9 @@
 //     costs per-request CPU (serialization + checksum) and serializes all
 //     proposals;
 //   * LearnerHandler-p / Sender-p — per-peer reader/writer threads that
-//     process every protocol message under the global lock;
+//     process every protocol message under the global lock; every frame
+//     leaves on Sender-p (ReplicaIo::Options::inline_sends = false —
+//     writing inline would lengthen the global-lock hold);
 //   * CommitProcessor — applies committed requests while *holding the
 //     global lock*, making it the single-thread bottleneck whose 100%
 //     busy+blocked profile dominates Fig 1b/14b;

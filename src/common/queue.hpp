@@ -250,11 +250,14 @@ class MpmcRing {
     return item;
   }
 
-  /// Approximate occupancy (racy between the two position loads; can
-  /// transiently read high or low under concurrent push/pop).
+  /// Approximate occupancy (racy between the two position loads). The
+  /// enqueue position is loaded first, so pushes and pops racing the read
+  /// can only make it low: in the other order a stale dequeue position
+  /// pairs with a fresher enqueue position, and an observer reads more
+  /// items than the ring ever held at once.
   std::size_t size() const {
-    const std::size_t deq = dequeue_pos_.load(std::memory_order_acquire);
     const std::size_t enq = enqueue_pos_.load(std::memory_order_acquire);
+    const std::size_t deq = dequeue_pos_.load(std::memory_order_acquire);
     return enq >= deq ? enq - deq : 0;
   }
   /// Physical slot count (requested capacity rounded up to a power of 2).

@@ -74,6 +74,9 @@ CalibrationResult calibrate_smr(std::uint64_t duration_ns) {
   profile.protocol_batch_ns =
       busy_of("Protocol") / per_request * batch_size / 3.0;  // leader + 2 followers
   profile.replica_exec_ns = busy_of("Replica") / per_request / 3.0;
+  // On SimNet every frame is written by its sending thread (ReplicaIo has
+  // no ReplicaIOSnd threads there), so the send cost lands in
+  // protocol_batch_ns and this term is 0.
   profile.replicaio_snd_batch_ns = busy_of("ReplicaIOSnd-") / per_request * batch_size / 6.0;
   profile.replicaio_rcv_msg_ns = busy_of("ReplicaIORcv-") / per_request * batch_size / 6.0;
 

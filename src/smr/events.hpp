@@ -5,7 +5,8 @@
 //   ProposalQueue    Batcher -> Protocol
 //   DispatcherQueue  everyone -> Protocol (its event loop input)
 //   DecisionQueue    Protocol -> ServiceManager ("Replica" thread)
-//   SendQueue        Protocol/FD/Retransmitter -> ReplicaIOSnd (per peer)
+//   SendQueue        Protocol/FD/Retransmitter -> ReplicaIOSnd (per peer;
+//                    only over a transport that may block, see replica_io.hpp)
 // plus the per-ClientIO-thread reply queues, which live inside the
 // ClientIo implementations (EventLoop::post for TCP, SimNet inject for
 // the in-process transport).

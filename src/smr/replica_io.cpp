@@ -4,34 +4,28 @@
 
 namespace mcsmr::smr {
 
-namespace {
-/// Encoded frames waiting for one peer's sender thread; a full queue is a
-/// counted drop (SharedState::dropped_peer_frames), never a block.
-constexpr std::size_t kSendQueueCap = 8192;
-}  // namespace
-
-ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport)
-    : config_(config), self_(self), transport_(transport), names_(ThreadNames{}) {
-  names_.rcv_prefix = config.thread_name_prefix + names_.rcv_prefix;
-  names_.snd_prefix = config.thread_name_prefix + names_.snd_prefix;
+ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
+                     Options options)
+    : config_(config), self_(self), transport_(transport), options_(std::move(options)),
+      inline_sends_(options_.inline_sends && !transport.send_may_block()) {
+  options_.rcv_prefix = config.thread_name_prefix + options_.rcv_prefix;
+  options_.snd_prefix = config.thread_name_prefix + options_.snd_prefix;
+  if (inline_sends_) return;
   send_queues_.resize(static_cast<std::size_t>(config.n));
   for (int peer = 0; peer < config.n; ++peer) {
     if (static_cast<ReplicaId>(peer) == self_) continue;
-    send_queues_[static_cast<std::size_t>(peer)] = std::make_unique<SendQueue>(
-        kSendQueueCap, "SendQueue-" + std::to_string(peer));
+    send_queues_[static_cast<std::size_t>(peer)] =
+        std::make_unique<SendQueue>(kSendQueueCap, "SendQueue-" + std::to_string(peer));
   }
 }
 
 ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
                      DispatcherQueue& dispatcher, SharedState& shared)
-    : ReplicaIo(config, self, transport, dispatcher, shared, ThreadNames{}) {}
+    : ReplicaIo(config, self, transport, dispatcher, shared, Options{}) {}
 
 ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
-                     DispatcherQueue& dispatcher, SharedState& shared, ThreadNames names)
-    : ReplicaIo(config, self, transport) {
-  names_ = std::move(names);
-  names_.rcv_prefix = config.thread_name_prefix + names_.rcv_prefix;
-  names_.snd_prefix = config.thread_name_prefix + names_.snd_prefix;
+                     DispatcherQueue& dispatcher, SharedState& shared, Options options)
+    : ReplicaIo(config, self, transport, std::move(options)) {
   register_partition(dispatcher, shared);
 }
 
@@ -46,11 +40,13 @@ void ReplicaIo::start(bool spawn_receivers) {
     const auto id = static_cast<ReplicaId>(peer);
     if (id == self_) continue;
     if (spawn_receivers) {
-      threads_.emplace_back(names_.rcv_prefix + std::to_string(peer),
+      threads_.emplace_back(options_.rcv_prefix + std::to_string(peer),
                             [this, id] { rcv_loop(id); });
     }
-    threads_.emplace_back(names_.snd_prefix + std::to_string(peer),
-                          [this, id] { snd_loop(id); });
+    if (!inline_sends_) {
+      threads_.emplace_back(options_.snd_prefix + std::to_string(peer),
+                            [this, id] { snd_loop(id); });
+    }
   }
 }
 
@@ -102,10 +98,17 @@ void ReplicaIo::snd_loop(ReplicaId peer) {
   }
 }
 
-bool ReplicaIo::enqueue_frame(ReplicaId to, const Bytes& frame) {
-  SendQueue* queue = send_queues_[to].get();
-  if (queue == nullptr) return false;
-  if (!queue->try_push(frame)) {
+bool ReplicaIo::send_frame(ReplicaId to, const Bytes& frame) {
+  if (to == self_) return false;
+  if (inline_sends_) {
+    // Sequential calls from one thread keep their order on the transport,
+    // so each producer's frames stay FIFO without a queue.
+    const bool sent = transport_.send_to(to, frame);
+    (sent ? liveness().inline_peer_frames : liveness().dropped_peer_frames)
+        .fetch_add(1, std::memory_order_relaxed);
+    return sent;
+  }
+  if (!send_queues_[to]->try_push(frame)) {
     liveness().dropped_peer_frames.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -123,20 +126,16 @@ Bytes ReplicaIo::encode_frame(std::uint32_t partition, const paxos::Message& mes
 }
 
 bool ReplicaIo::send(ReplicaId to, const paxos::Message& message, std::uint32_t partition) {
-  return enqueue_frame(to, encode_frame(partition, message));
+  return send_frame(to, encode_frame(partition, message));
 }
 
 void ReplicaIo::broadcast(const paxos::Message& message, std::uint32_t partition) {
   const Bytes frame = encode_frame(partition, message);
   for (int peer = 0; peer < config_.n; ++peer) {
     if (static_cast<ReplicaId>(peer) != self_) {
-      enqueue_frame(static_cast<ReplicaId>(peer), frame);
+      send_frame(static_cast<ReplicaId>(peer), frame);
     }
   }
-}
-
-std::size_t ReplicaIo::send_queue_size(ReplicaId to) const {
-  return send_queues_[to] ? send_queues_[to]->size() : 0;
 }
 
 }  // namespace mcsmr::smr

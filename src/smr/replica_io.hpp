@@ -1,15 +1,20 @@
-// ReplicaIO module (§V-B): blocking I/O, two dedicated threads per peer.
+// ReplicaIO module (§V-B): per-peer blocking I/O.
 //
 // For every other replica p there is a ReplicaIORcv-p thread (reads and
 // deserializes frames from p, stamps the failure-detector timestamp, and
-// pushes the decoded message on the DispatcherQueue) and a ReplicaIOSnd-p
-// thread (drains p's SendQueue and writes the frames). send()/broadcast()
-// encode on the caller's thread — once per message, not once per peer —
-// and only enqueue the bytes. The dedicated sender keeps the caller from
-// ever blocking on a slow or dead peer's socket — a full SendQueue is
-// detected with try_push and the frame is dropped, exactly the paper's
-// remedy for the distributed-deadlock hazard; end-to-end retransmission
-// recovers the loss.
+// pushes the decoded message on the DispatcherQueue). send()/broadcast()
+// encode on the caller's thread — once per message, not once per peer.
+//
+// Where the frame is written depends on the transport. One whose
+// send_to() never blocks (SimNet) is written on the caller's thread:
+// there is no SendQueue and no sender thread, so no wake-up rides on
+// every Propose and Accept. One that may block (TCP) gets a ReplicaIOSnd-p
+// thread per peer that drains p's SendQueue and writes the frames: it
+// keeps the caller from ever blocking on a slow or dead peer's socket — a
+// full SendQueue is detected with try_push and the frame is dropped,
+// exactly the paper's remedy for the distributed-deadlock hazard;
+// end-to-end retransmission recovers the loss. Either way one producer's
+// frames to a peer are written in the order it sent them.
 //
 // Partitioned replicas (Config::num_partitions > 1) share ONE ReplicaIo —
 // per-peer sockets and send queues are a replica-level resource. Each
@@ -30,42 +35,54 @@
 
 namespace mcsmr::smr {
 
+/// Thread naming and the inline-send opt-out, overridable so the
+/// ZooKeeper-like baseline can present its Fig-1b architecture (every
+/// frame leaves on a "Sender-p" thread) while reusing ReplicaIo. At
+/// namespace scope so it can be a defaulted constructor argument.
+struct ReplicaIoOptions {
+  std::string rcv_prefix = "ReplicaIORcv-";
+  std::string snd_prefix = "ReplicaIOSnd-";
+  /// Write on the caller's thread when the transport never blocks;
+  /// false always goes through the SendQueue and sender thread.
+  bool inline_sends = true;
+};
+
 class ReplicaIo {
  public:
-  /// Thread naming, overridable so the ZooKeeper-like baseline can present
-  /// its Fig-1b thread names ("Sender-p") while reusing this module.
-  struct ThreadNames {
-    std::string rcv_prefix = "ReplicaIORcv-";
-    std::string snd_prefix = "ReplicaIOSnd-";
-  };
+  using Options = ReplicaIoOptions;
+
+  /// Frames waiting for one peer's sender thread; a full queue is a
+  /// counted drop (SharedState::dropped_peer_frames), never a block.
+  static constexpr std::size_t kSendQueueCap = 8192;
 
   /// Partition-fed construction: call register_partition() once per
   /// pipeline (in partition order) before start().
-  ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport);
+  ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
+            Options options = {});
   /// Single-pipeline convenience (legacy signature; also the baseline's).
   ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
             DispatcherQueue& dispatcher, SharedState& shared);
   ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
-            DispatcherQueue& dispatcher, SharedState& shared, ThreadNames names);
+            DispatcherQueue& dispatcher, SharedState& shared, Options options);
 
   /// Register partition feeds in index order, before start(). The first
   /// registered SharedState also hosts the replica-level liveness
   /// timestamps and I/O counters.
   void register_partition(DispatcherQueue& dispatcher, SharedState& shared);
 
-  /// `spawn_receivers=false` starts only the sender threads; the caller
-  /// then owns receiving (the baseline's LearnerHandler threads do).
+  /// `spawn_receivers=false` starts only the sender threads (if any); the
+  /// caller then owns receiving (the baseline's LearnerHandler threads do).
   void start(bool spawn_receivers = true);
   void stop();
 
-  /// Encode once and enqueue to one peer, tagged for `partition`. Never
-  /// blocks: returns false and drops the frame if the SendQueue is full.
+  /// Encode once and send to one peer, tagged for `partition`. Never
+  /// blocks on the peer: returns false and drops the frame if the link is
+  /// down (inline write) or the SendQueue is full.
   bool send(ReplicaId to, const paxos::Message& message, std::uint32_t partition = 0);
 
-  /// Encode once and enqueue to every other replica.
+  /// Encode once and send to every other replica.
   void broadcast(const paxos::Message& message, std::uint32_t partition = 0);
 
-  std::size_t send_queue_size(ReplicaId to) const;
   std::uint32_t partition_count() const {
     return static_cast<std::uint32_t>(feeds_.size());
   }
@@ -78,7 +95,7 @@ class ReplicaIo {
 
   void rcv_loop(ReplicaId peer);
   void snd_loop(ReplicaId peer);
-  bool enqueue_frame(ReplicaId to, const Bytes& frame);
+  bool send_frame(ReplicaId to, const Bytes& frame);
   Bytes encode_frame(std::uint32_t partition, const paxos::Message& message) const;
   SharedState& liveness() const { return *feeds_.front().shared; }
 
@@ -90,9 +107,11 @@ class ReplicaIo {
   PeerTransport& transport_;
   std::vector<Feed> feeds_;  // one per partition, index = partition id
 
-  std::vector<std::unique_ptr<SendQueue>> send_queues_;  // indexed by peer id
+  Options options_;
+  const bool inline_sends_;  // options_.inline_sends && transport never blocks
+  // Indexed by peer id; empty with inline sends, and null for self.
+  std::vector<std::unique_ptr<SendQueue>> send_queues_;
   std::vector<metrics::NamedThread> threads_;
-  ThreadNames names_;
   bool started_ = false;
 };
 
@@ -112,7 +131,6 @@ class PartitionIo {
   void broadcast(const paxos::Message& message) const {
     io_->broadcast(message, partition_);
   }
-  std::size_t send_queue_size(ReplicaId to) const { return io_->send_queue_size(to); }
   std::uint32_t partition() const { return partition_; }
 
  private:

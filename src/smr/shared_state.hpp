@@ -57,7 +57,12 @@ struct SharedState {
   // Counters for benches/monitoring.
   std::atomic<std::uint64_t> executed_requests{0};
   std::atomic<std::uint64_t> decided_instances{0};
-  std::atomic<std::uint64_t> dropped_peer_frames{0};   ///< SendQueue-full drops
+  /// Peer frames dropped: the SendQueue was full, or the link was down
+  /// when the frame was written (by the sender or by ReplicaIOSnd).
+  std::atomic<std::uint64_t> dropped_peer_frames{0};
+  /// Peer frames written on the sending module's own thread, with no
+  /// ReplicaIOSnd hop (never-blocking transport, see ReplicaIo).
+  std::atomic<std::uint64_t> inline_peer_frames{0};
   std::atomic<std::uint64_t> dropped_batches{0};       ///< leadership-loss drains
   std::atomic<std::uint64_t> redirected_requests{0};
   std::atomic<std::uint64_t> cached_replies{0};

@@ -2,11 +2,14 @@
 //
 // The ReplicaIO module (§V-B) is written against this interface: one
 // blocking receive stream per peer (served by a dedicated ReplicaIORcv
-// thread) and one send sink per peer (fed through the SendQueue by the
-// ReplicaIOSnd thread). Two implementations:
-//   * SimPeerTransport — SimNet-backed; benches run on this so the NIC
-//     model (packet budget, latency) shapes traffic;
-//   * TcpPeerTransport — real sockets; examples and integration tests.
+// thread) and one send sink per peer. A transport whose send_to() never
+// blocks is written to on the sending module's own thread; otherwise the
+// frame goes through the SendQueue to the ReplicaIOSnd thread (see
+// replica_io.hpp). Two implementations:
+//   * SimPeerTransport — SimNet-backed, never blocks; benches run on this
+//     so the NIC model (packet budget, latency) shapes traffic;
+//   * TcpPeerTransport — real sockets, may block on a full socket buffer;
+//     examples and integration tests.
 #pragma once
 
 #include <map>
@@ -40,6 +43,10 @@ class PeerTransport {
   /// treats that as packet loss (retransmission recovers).
   virtual bool send_to(ReplicaId to, const Bytes& frame) = 0;
 
+  /// Whether send_to() can stall its caller (e.g. on a full socket
+  /// buffer). Only a transport that never blocks is written to inline.
+  virtual bool send_may_block() const { return true; }
+
   /// Close all links, waking blocked receivers.
   virtual void shutdown() = 0;
 };
@@ -61,6 +68,9 @@ class SimPeerTransport : public PeerTransport {
     return net_.send(nodes_[self_], nodes_[to], kPeerChannelBase + self_, frame);
   }
 
+  /// SimNetwork::send only reserves NIC time and queues the delivery.
+  bool send_may_block() const override { return false; }
+
   void shutdown() override {
     for (ReplicaId from = 0; from < nodes_.size(); ++from) {
       net_.close_inbox(nodes_[self_], kPeerChannelBase + from);
@@ -80,7 +90,9 @@ class SimPeerTransport : public PeerTransport {
 /// Links are established once at startup (connect_all); a broken link
 /// surfaces as recv_from() returning nullopt and send_to() returning
 /// false — end-to-end retransmission and the failure detector take over,
-/// as the paper prescribes for broken connections (§V-C4).
+/// as the paper prescribes for broken connections (§V-C4). send_to() is a
+/// blocking write, so it keeps the default send_may_block() == true and
+/// every frame goes through the ReplicaIOSnd thread.
 class TcpPeerTransport : public PeerTransport {
  public:
   /// Blocks until links to all peers are up or `deadline_ns` passes.

@@ -93,6 +93,30 @@ TEST(MpmcRingStress, TinyCapacityFullEmptyRace) {
   EXPECT_EQ(sum.load(), total * (total + 1) / 2) << "items lost or duplicated";
 }
 
+// size() is read by outside observers (the queue sampler, the
+// FlowControlBoundsQueues checks) while both ends race; it may read low
+// but never more items than the ring can hold.
+TEST(MpmcRingStress, ObservedSizeNeverExceedsCapacity) {
+  const int items = 50000 * kScale;
+  MpmcRing<int> ring(2);
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    for (int i = 0; i < items; ++i) {
+      while (!ring.try_push(i)) {
+      }
+    }
+  });
+  std::thread consumer([&] {
+    for (int i = 0; i < items;) i += ring.try_pop().has_value() ? 1 : 0;
+    done.store(true);
+  });
+  std::size_t max_seen = 0;
+  while (!done.load()) max_seen = std::max(max_seen, ring.size());
+  producer.join();
+  consumer.join();
+  EXPECT_LE(max_seen, ring.capacity());
+}
+
 // Per-producer order must survive arbitrary producer/consumer interleaving
 // (the ring is a FIFO per producer even though global order is free).
 void check_per_producer_sequence(std::size_t capacity) {

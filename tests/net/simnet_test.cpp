@@ -55,6 +55,36 @@ TEST(SimNet, FifoPerLinkWithoutJitter) {
   }
 }
 
+// Several threads of one node sending on one link (as ReplicaIo's inline
+// sends do from Protocol, FailureDetector and Retransmitter): each
+// thread's messages still arrive in the order it sent them.
+TEST(SimNet, FifoPerSenderThreadOnSharedLink) {
+  SimNetParams params = fast_params();
+  params.node_pps = 2'000'000;  // NIC reservations queue up behind each other
+  SimNetwork net(params);
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  constexpr int kThreads = 3, kPerThread = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        net.send(a, b, 0, Bytes{static_cast<std::uint8_t>(t), static_cast<std::uint8_t>(i),
+                                static_cast<std::uint8_t>(i >> 8)});
+      }
+    });
+  }
+  std::vector<int> next(kThreads, 0);
+  for (int n = 0; n < kThreads * kPerThread; ++n) {
+    auto msg = net.recv_for(b, 0, 5 * kSeconds);
+    ASSERT_TRUE(msg.has_value());
+    const int t = msg->payload[0];
+    EXPECT_EQ(msg->payload[1] | (msg->payload[2] << 8), next[static_cast<std::size_t>(t)]++)
+        << "thread " << t;
+  }
+  for (auto& thread : threads) thread.join();
+}
+
 TEST(SimNet, RecvTimesOut) {
   SimNetwork net(fast_params());
   auto a = net.add_node("a");

@@ -48,8 +48,8 @@ void delay(std::minstd_rand& rng, unsigned max) {
 /// `fail_percent` share of wakes fails (as a SimNet inject into a full
 /// inbox does) unless `force_wakes` is set.
 struct Rig {
-  explicit Rig(QueueImpl impl, unsigned late_spins = 0, unsigned fail_percent = 0)
-      : late_spins(late_spins), fail_percent(fail_percent),
+  explicit Rig(QueueImpl impl, unsigned max_late_spins = 0, unsigned fail_share = 0)
+      : late_spins(max_late_spins), fail_percent(fail_share),
         outbox(impl, "ReplyQueue-test", shared, [this] { return wake(); }) {}
   ~Rig() {
     stop = true;
@@ -234,8 +234,8 @@ TEST_P(ReplyOutboxTest, CloseReleasesABlockedProducer) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, ReplyOutboxTest,
                          ::testing::Values(QueueImpl::kMutex, QueueImpl::kRing),
-                         [](const ::testing::TestParamInfo<QueueImpl>& info) {
-                           return std::string(to_string(info.param));
+                         [](const ::testing::TestParamInfo<QueueImpl>& param_info) {
+                           return std::string(to_string(param_info.param));
                          });
 
 }  // namespace
