@@ -26,8 +26,7 @@ ZkReplica::ZkReplica(const Config& config, ReplicaId self,
       transport_(std::move(transport)), service_(std::move(service)),
       reply_cache_(/*stripes=*/1, config.admitted_ttl_ns), engine_(config_, self),
       replica_io_(config_, self, *transport_, unused_dispatcher_, shared_,
-                  smr::ReplicaIo::Options{"LearnerHandlerRcv-", "Sender-",
-                                          /*inline_sends=*/false}),
+                  smr::ReplicaIo::Options{"Sender-", /*inline_sends=*/false}),
       retransmitter_(config_, replica_io_) {}
 
 std::unique_ptr<ZkReplica> ZkReplica::create_sim(const Config& config, ReplicaId self,

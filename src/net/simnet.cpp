@@ -33,13 +33,15 @@ SimNetwork::Node& SimNetwork::node_at(NodeId id) {
   return *nodes_[id];
 }
 
+SimNetwork::Port& SimNetwork::port_locked(NodeId node, Channel channel) {
+  Port& port = ports_[{node, channel}];
+  if (!port.inbox) port.inbox = std::make_shared<Inbox>(params_.inbox_capacity, "simnet-inbox");
+  return port;
+}
+
 std::shared_ptr<SimNetwork::Inbox> SimNetwork::inbox(NodeId node, Channel channel) {
   std::lock_guard<std::mutex> guard(inbox_mu_);
-  auto& slot = inboxes_[{node, channel}];
-  if (!slot) {
-    slot = std::make_shared<Inbox>(params_.inbox_capacity, "simnet-inbox");
-  }
-  return slot;
+  return port_locked(node, channel).inbox;
 }
 
 std::uint64_t SimNetwork::reserve_nic(Node& node, bool out, std::uint64_t packets,
@@ -131,10 +133,22 @@ void SimNetwork::close_inbox(NodeId node, Channel channel) {
   inbox(node, channel)->close();
 }
 
+void SimNetwork::set_sink(NodeId node, Channel channel, Sink sink) {
+  // Waits out a delivery in progress and keeps the delivery thread out
+  // until the new sink is in place, so nothing overtakes the drained
+  // messages and nothing reaches the old sink after we return.
+  std::lock_guard<std::mutex> sink_guard(sink_mu_);
+  std::shared_ptr<Inbox> box = inbox(node, channel);
+  if (sink) {
+    while (auto message = box->try_pop()) sink(std::move(*message));
+  }
+  std::lock_guard<std::mutex> guard(inbox_mu_);
+  port_locked(node, channel).sink = std::move(sink);
+}
+
 void SimNetwork::reset_inbox(NodeId node, Channel channel) {
   std::lock_guard<std::mutex> guard(inbox_mu_);
-  inboxes_[{node, channel}] =
-      std::make_shared<Inbox>(params_.inbox_capacity, "simnet-inbox");
+  ports_[{node, channel}].inbox = std::make_shared<Inbox>(params_.inbox_capacity, "simnet-inbox");
 }
 
 bool SimNetwork::inject(NodeId node, Channel channel, SimMessage message) {
@@ -184,7 +198,29 @@ void SimNetwork::shutdown() {
   flight_cv_.notify_all();
   delivery_thread_.join();
   std::lock_guard<std::mutex> guard(inbox_mu_);
-  for (auto& [key, box] : inboxes_) box->close();
+  for (auto& [key, port] : ports_) port.inbox->close();
+}
+
+void SimNetwork::deliver(NodeId to, SimMessage message) {
+  std::lock_guard<std::mutex> sink_guard(sink_mu_);
+  const Sink* sink = nullptr;
+  std::shared_ptr<Inbox> box;
+  {
+    std::lock_guard<std::mutex> guard(inbox_mu_);
+    Port& port = port_locked(to, message.channel);
+    if (port.sink) {
+      sink = &port.sink;
+    } else {
+      box = port.inbox;
+    }
+  }
+  if (sink != nullptr) {
+    (*sink)(std::move(message));
+  } else {
+    // try_push: a full inbox behaves like a NIC ring overflow — the frame
+    // is dropped and end-to-end recovery (retransmission) kicks in.
+    box->try_push(std::move(message));
+  }
 }
 
 void SimNetwork::delivery_loop() {
@@ -205,9 +241,7 @@ void SimNetwork::delivery_loop() {
     InFlight item = std::move(heap_.back());
     heap_.pop_back();
     lock.unlock();
-    // try_push: a full inbox behaves like a NIC ring overflow — the frame
-    // is dropped and end-to-end recovery (retransmission) kicks in.
-    inbox(item.to, item.message.channel)->try_push(std::move(item.message));
+    deliver(item.to, std::move(item.message));
     lock.lock();
   }
 }

@@ -18,7 +18,9 @@
 //     its budget;
 //   * a delivery thread releases messages into destination inboxes at
 //     their computed arrival times (real-time, so the real threaded
-//     replicas experience the modeled latency).
+//     replicas experience the modeled latency), or hands them to a sink
+//     the receiver attached (set_sink), playing the kernel's part of
+//     delivering a frame to the process with no receive thread to wake.
 //
 // SimNet also provides per-directed-link fault injection (drop, duplicate,
 // delay, jitter/reordering, partition) used by the Paxos and SMR property
@@ -28,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,6 +103,19 @@ class SimNetwork {
   /// Close one inbox, waking blocked receivers (used at module shutdown).
   void close_inbox(NodeId node, Channel channel);
 
+  /// Takes each message delivered to one (node, channel) in place of its
+  /// inbox. Runs on the delivery thread, which serves every node: it must
+  /// not block, and must not call set_sink.
+  using Sink = std::function<void(SimMessage&&)>;
+
+  /// Push delivery: from now on the delivery thread hands every message
+  /// for (node, channel) to `sink` instead of queueing it. Messages already
+  /// in the inbox go to `sink` first, in order, on the caller's thread.
+  /// An empty `sink` restores the inbox; once the call returns, the
+  /// previous sink is not running and is never called again. inject()
+  /// still goes to the inbox.
+  void set_sink(NodeId node, Channel channel, Sink sink);
+
   /// Replace a (possibly closed) inbox with a fresh empty one, so a
   /// crashed node can be restarted in place (close() is permanent on the
   /// underlying queue). Messages still queued are dropped — they died
@@ -154,13 +170,23 @@ class SimNetwork {
 
   using Inbox = BoundedBlockingQueue<SimMessage>;
 
+  /// One (node, channel) endpoint. `sink` is written under sink_mu_ and
+  /// inbox_mu_, and called only under sink_mu_; entries are never erased,
+  /// so a Port's address is stable.
+  struct Port {
+    std::shared_ptr<Inbox> inbox;
+    Sink sink;
+  };
+
   /// Reserve NIC time for `packets`/`bytes` on `node`'s egress (out=true)
   /// or ingress path, no earlier than `earliest_ns`; returns when the NIC
   /// finishes handling the message.
   std::uint64_t reserve_nic(Node& node, bool out, std::uint64_t packets, std::uint64_t bytes,
                             std::uint64_t earliest_ns);
 
+  Port& port_locked(NodeId node, Channel channel);  // caller holds inbox_mu_
   std::shared_ptr<Inbox> inbox(NodeId node, Channel channel);
+  void deliver(NodeId to, SimMessage message);
   void delivery_loop();
 
   Node& node_at(NodeId id);
@@ -170,8 +196,11 @@ class SimNetwork {
   std::atomic<std::size_t> node_count_{0};
   std::mutex add_node_mu_;
 
+  // Held by the delivery thread for each delivery and by set_sink, so a
+  // sink is swapped only between calls. Taken before inbox_mu_.
+  std::mutex sink_mu_;
   std::mutex inbox_mu_;
-  std::map<std::pair<NodeId, Channel>, std::shared_ptr<Inbox>> inboxes_;
+  std::map<std::pair<NodeId, Channel>, Port> ports_;
 
   std::mutex fault_mu_;
   std::map<std::pair<NodeId, NodeId>, FaultPlan> faults_;

@@ -74,9 +74,11 @@ CalibrationResult calibrate_smr(std::uint64_t duration_ns) {
   profile.protocol_batch_ns =
       busy_of("Protocol") / per_request * batch_size / 3.0;  // leader + 2 followers
   profile.replica_exec_ns = busy_of("Replica") / per_request / 3.0;
-  // On SimNet every frame is written by its sending thread (ReplicaIo has
-  // no ReplicaIOSnd threads there), so the send cost lands in
-  // protocol_batch_ns and this term is 0.
+  // On SimNet every frame is written by its sending thread and received on
+  // SimNet's delivery thread (ReplicaIo has no ReplicaIOSnd or ReplicaIORcv
+  // threads there), so both terms read 0: the send cost lands in
+  // protocol_batch_ns, and the receive cost (decode + DispatcherQueue push)
+  // on SimNetDelivery, which models the network, not a replica stage.
   profile.replicaio_snd_batch_ns = busy_of("ReplicaIOSnd-") / per_request * batch_size / 6.0;
   profile.replicaio_rcv_msg_ns = busy_of("ReplicaIORcv-") / per_request * batch_size / 6.0;
 

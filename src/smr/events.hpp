@@ -22,7 +22,8 @@ namespace mcsmr::smr {
 
 // --- DispatcherQueue events -------------------------------------------------
 
-/// A decoded message from another replica (pushed by ReplicaIORcv threads).
+/// A decoded message from another replica (pushed by ReplicaIo::on_frame:
+/// on SimNet's delivery thread, over TCP on a ReplicaIORcv thread).
 struct PeerMessageEvent {
   ReplicaId from = 0;
   paxos::Message message;

@@ -7,7 +7,8 @@
 //     from the Protocol thread's published atomics, so the FD never
 //     touches protocol state;
 //   * otherwise watch the leader's last_recv timestamp (written directly
-//     by the ReplicaIORcv threads with no notification — safe because
+//     by ReplicaIo::on_frame — on SimNet's delivery thread or a TCP
+//     ReplicaIORcv thread — with no notification; safe because
 //     timestamps only increase) and push a SuspectEvent when it goes
 //     stale. Suspicion is staggered by rank distance from the leader so
 //     the next-in-line replica usually wins the election without dueling;

@@ -8,7 +8,6 @@ ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transp
                      Options options)
     : config_(config), self_(self), transport_(transport), options_(std::move(options)),
       inline_sends_(options_.inline_sends && !transport.send_may_block()) {
-  options_.rcv_prefix = config.thread_name_prefix + options_.rcv_prefix;
   options_.snd_prefix = config.thread_name_prefix + options_.snd_prefix;
   if (inline_sends_) return;
   send_queues_.resize(static_cast<std::size_t>(config.n));
@@ -36,11 +35,17 @@ void ReplicaIo::register_partition(DispatcherQueue& dispatcher, SharedState& sha
 void ReplicaIo::start(bool spawn_receivers) {
   if (started_) return;
   started_ = true;
+  // A transport that pushes frames calls on_frame on its delivery thread,
+  // which serves every node and so must never wait on our dispatcher.
+  const bool receive_threads =
+      spawn_receivers && !transport_.set_receiver([this](ReplicaId peer, const Bytes& frame) {
+        on_frame(peer, frame, /*may_block=*/false);
+      });
   for (int peer = 0; peer < config_.n; ++peer) {
     const auto id = static_cast<ReplicaId>(peer);
     if (id == self_) continue;
-    if (spawn_receivers) {
-      threads_.emplace_back(options_.rcv_prefix + std::to_string(peer),
+    if (receive_threads) {
+      threads_.emplace_back(config_.thread_name_prefix + "ReplicaIORcv-" + std::to_string(peer),
                             [this, id] { rcv_loop(id); });
     }
     if (!inline_sends_) {
@@ -52,7 +57,7 @@ void ReplicaIo::start(bool spawn_receivers) {
 
 void ReplicaIo::stop() {
   if (!started_) return;
-  transport_.shutdown();  // wakes receivers
+  transport_.shutdown();  // detaches a pushing transport; wakes receivers
   for (auto& queue : send_queues_) {
     if (queue) queue->close();  // wakes senders
   }
@@ -60,31 +65,41 @@ void ReplicaIo::stop() {
   started_ = false;
 }
 
-void ReplicaIo::rcv_loop(ReplicaId peer) {
+bool ReplicaIo::on_frame(ReplicaId peer, const Bytes& frame, bool may_block) {
+  // Any traffic from the peer proves liveness; the FD thread reads this
+  // without being notified (timestamps only increase, §V-C3).
+  liveness().last_recv_ns[peer].store(mono_ns(), std::memory_order_relaxed);
   const std::uint32_t partitions = partition_count();
-  while (auto frame = transport_.recv_from(peer)) {
-    // Any traffic from the peer proves liveness; the FD thread reads this
-    // without being notified (timestamps only increase, §V-C3).
-    liveness().last_recv_ns[peer].store(mono_ns(), std::memory_order_relaxed);
-    try {
-      const std::uint8_t* data = frame->data();
-      std::size_t size = frame->size();
-      std::uint32_t partition = 0;
-      if (partitions > 1) {
-        // Partition-tagged frame: one leading byte selects the pipeline.
-        if (size == 0) throw DecodeError("empty partitioned frame");
-        partition = data[0];
-        if (partition >= partitions) throw DecodeError("partition tag out of range");
-        ++data;
-        --size;
-      }
-      paxos::WireMessage wire = paxos::decode_message(std::span(data, size));
-      // Trust the link, not the frame header, for the sender identity.
-      if (!feeds_[partition].dispatcher->push(PeerMessageEvent{peer, std::move(wire.message)}))
-        return;
-    } catch (const DecodeError& error) {
-      LOG_WARN << "dropping malformed frame from replica " << peer << ": " << error.what();
+  try {
+    const std::uint8_t* data = frame.data();
+    std::size_t size = frame.size();
+    std::uint32_t partition = 0;
+    if (partitions > 1) {
+      // Partition-tagged frame: one leading byte selects the pipeline.
+      if (size == 0) throw DecodeError("empty partitioned frame");
+      partition = data[0];
+      if (partition >= partitions) throw DecodeError("partition tag out of range");
+      ++data;
+      --size;
     }
+    paxos::WireMessage wire = paxos::decode_message(std::span(data, size));
+    // Trust the link, not the frame header, for the sender identity.
+    PeerMessageEvent event{peer, std::move(wire.message)};
+    DispatcherQueue& dispatcher = *feeds_[partition].dispatcher;
+    if (may_block ? dispatcher.push(std::move(event)) : dispatcher.try_push(std::move(event))) {
+      return true;
+    }
+    liveness().dropped_peer_frames.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  } catch (const DecodeError& error) {
+    LOG_WARN << "dropping malformed frame from replica " << peer << ": " << error.what();
+    return true;
+  }
+}
+
+void ReplicaIo::rcv_loop(ReplicaId peer) {
+  while (auto frame = transport_.recv_from(peer)) {
+    if (!on_frame(peer, *frame, /*may_block=*/true)) return;  // dispatcher closed
   }
 }
 

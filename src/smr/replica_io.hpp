@@ -1,26 +1,33 @@
-// ReplicaIO module (§V-B): per-peer blocking I/O.
+// ReplicaIO module (§V-B): per-peer I/O.
 //
-// For every other replica p there is a ReplicaIORcv-p thread (reads and
-// deserializes frames from p, stamps the failure-detector timestamp, and
-// pushes the decoded message on the DispatcherQueue). send()/broadcast()
-// encode on the caller's thread — once per message, not once per peer.
+// Every peer frame comes in through on_frame(): it stamps the
+// failure-detector timestamp, strips the partition tag, decodes the
+// message and hands it to the owning partition's DispatcherQueue. Who
+// calls it depends on the transport. One that can push frames (SimNet,
+// PeerTransport::set_receiver) calls it on its own delivery thread —
+// the part the kernel plays for a socket — so there is no ReplicaIORcv
+// thread and no extra wake-up on every Propose and Accept; that path
+// never blocks (a full or closed DispatcherQueue is a counted drop, as a
+// full NIC ring would be). Over any other transport (TCP) a ReplicaIORcv-p
+// thread per peer blocks in recv_from() and pushes with backpressure.
 //
-// Where the frame is written depends on the transport. One whose
-// send_to() never blocks (SimNet) is written on the caller's thread:
-// there is no SendQueue and no sender thread, so no wake-up rides on
-// every Propose and Accept. One that may block (TCP) gets a ReplicaIOSnd-p
-// thread per peer that drains p's SendQueue and writes the frames: it
-// keeps the caller from ever blocking on a slow or dead peer's socket — a
-// full SendQueue is detected with try_push and the frame is dropped,
-// exactly the paper's remedy for the distributed-deadlock hazard;
-// end-to-end retransmission recovers the loss. Either way one producer's
-// frames to a peer are written in the order it sent them.
+// send()/broadcast() encode on the caller's thread — once per message,
+// not once per peer. Where the frame is written depends on the transport.
+// One whose send_to() never blocks (SimNet) is written on the caller's
+// thread: there is no SendQueue and no sender thread. One that may block
+// (TCP) gets a ReplicaIOSnd-p thread per peer that drains p's SendQueue
+// and writes the frames: it keeps the caller from ever blocking on a slow
+// or dead peer's socket — a full SendQueue is detected with try_push and
+// the frame is dropped, exactly the paper's remedy for the
+// distributed-deadlock hazard; end-to-end retransmission recovers the
+// loss. Either way one producer's frames to a peer are written in the
+// order it sent them.
 //
 // Partitioned replicas (Config::num_partitions > 1) share ONE ReplicaIo —
 // per-peer sockets and send queues are a replica-level resource. Each
 // partition registers its (DispatcherQueue, SharedState) feed; outgoing
-// frames are tagged with a one-byte partition id and receive threads
-// demultiplex to the owning partition's dispatcher. With a single
+// frames are tagged with a one-byte partition id and on_frame()
+// demultiplexes to the owning partition's dispatcher. With a single
 // registered partition the tag is omitted and the wire format is exactly
 // the pre-partitioning one.
 #pragma once
@@ -35,12 +42,12 @@
 
 namespace mcsmr::smr {
 
-/// Thread naming and the inline-send opt-out, overridable so the
+/// Sender-thread naming and the inline-send opt-out, overridable so the
 /// ZooKeeper-like baseline can present its Fig-1b architecture (every
-/// frame leaves on a "Sender-p" thread) while reusing ReplicaIo. At
-/// namespace scope so it can be a defaulted constructor argument.
+/// frame leaves on a "Sender-p" thread) while reusing ReplicaIo; it
+/// receives on its own threads (start(false)). At namespace scope so it
+/// can be a defaulted constructor argument.
 struct ReplicaIoOptions {
-  std::string rcv_prefix = "ReplicaIORcv-";
   std::string snd_prefix = "ReplicaIOSnd-";
   /// Write on the caller's thread when the transport never blocks;
   /// false always goes through the SendQueue and sender thread.
@@ -70,9 +77,18 @@ class ReplicaIo {
   /// timestamps and I/O counters.
   void register_partition(DispatcherQueue& dispatcher, SharedState& shared);
 
-  /// `spawn_receivers=false` starts only the sender threads (if any); the
-  /// caller then owns receiving (the baseline's LearnerHandler threads do).
+  ~ReplicaIo() { stop(); }
+  // The transport's receiver and the threads hold `this`.
+  ReplicaIo(const ReplicaIo&) = delete;
+  ReplicaIo& operator=(const ReplicaIo&) = delete;
+
+  /// Attaches to a transport that pushes frames, or else starts one
+  /// ReplicaIORcv thread per peer; plus the sender threads, if any.
+  /// `spawn_receivers=false` does neither: the caller then owns receiving
+  /// (the baseline's LearnerHandler threads do).
   void start(bool spawn_receivers = true);
+  /// Detaches from the transport and joins every thread; once it returns
+  /// no transport thread is inside on_frame().
   void stop();
 
   /// Encode once and send to one peer, tagged for `partition`. Never
@@ -93,6 +109,11 @@ class ReplicaIo {
     SharedState* shared = nullptr;
   };
 
+  /// The one receive path. `may_block` pushes with backpressure (a
+  /// ReplicaIORcv thread); otherwise a full DispatcherQueue drops the
+  /// frame. Returns false if the frame was not handed over because the
+  /// DispatcherQueue is full or closed (counted in dropped_peer_frames).
+  bool on_frame(ReplicaId peer, const Bytes& frame, bool may_block);
   void rcv_loop(ReplicaId peer);
   void snd_loop(ReplicaId peer);
   bool send_frame(ReplicaId to, const Bytes& frame);

@@ -4,9 +4,11 @@
 // atomics below — never locks. Each field has exactly one writer:
 //   view/is_leader/window_in_use/first_undecided — Protocol thread
 //     (the paper's "volatile variable" the Batcher reads, §V-C1);
-//   last_recv_ns[p] — ReplicaIORcv thread for peer p; read by the
-//     FailureDetector without notifications, which is safe because
-//     timestamps only increase (§V-C3);
+//   last_recv_ns[p] — whichever thread receives peer p's frames
+//     (ReplicaIo::on_frame: SimNet's delivery thread, or the TCP
+//     ReplicaIORcv-p thread); read by the FailureDetector without
+//     notifications, which is safe because timestamps only increase
+//     (§V-C3);
 //   counters — their producing threads; read by benches.
 #pragma once
 
@@ -50,7 +52,8 @@ struct SharedState {
   /// of the lease read path (release/acquire paired with service state).
   std::atomic<std::uint64_t> executed_frontier{0};
 
-  // Written by ReplicaIORcv threads (one slot each), read by the FD.
+  // Written by ReplicaIo::on_frame (one receiving thread per slot), read
+  // by the FD.
   std::unique_ptr<std::atomic<std::uint64_t>[]> last_recv_ns;
   int peers;
 
@@ -58,7 +61,8 @@ struct SharedState {
   std::atomic<std::uint64_t> executed_requests{0};
   std::atomic<std::uint64_t> decided_instances{0};
   /// Peer frames dropped: the SendQueue was full, or the link was down
-  /// when the frame was written (by the sender or by ReplicaIOSnd).
+  /// when the frame was written (by the sender or by ReplicaIOSnd), or a
+  /// received frame found its DispatcherQueue full or closed.
   std::atomic<std::uint64_t> dropped_peer_frames{0};
   /// Peer frames written on the sending module's own thread, with no
   /// ReplicaIOSnd hop (never-blocking transport, see ReplicaIo).

@@ -1,17 +1,21 @@
 // Replica-to-replica transport seam.
 //
 // The ReplicaIO module (§V-B) is written against this interface: one
-// blocking receive stream per peer (served by a dedicated ReplicaIORcv
-// thread) and one send sink per peer. A transport whose send_to() never
-// blocks is written to on the sending module's own thread; otherwise the
-// frame goes through the SendQueue to the ReplicaIOSnd thread (see
-// replica_io.hpp). Two implementations:
-//   * SimPeerTransport — SimNet-backed, never blocks; benches run on this
-//     so the NIC model (packet budget, latency) shapes traffic;
-//   * TcpPeerTransport — real sockets, may block on a full socket buffer;
-//     examples and integration tests.
+// receive stream and one send sink per peer. A transport that can push
+// frames (set_receiver) delivers each one straight into ReplicaIo on its
+// own delivery thread; otherwise a dedicated ReplicaIORcv thread per peer
+// blocks in recv_from(). A transport whose send_to() never blocks is
+// written to on the sending module's own thread; otherwise the frame goes
+// through the SendQueue to the ReplicaIOSnd thread (see replica_io.hpp).
+// Two implementations:
+//   * SimPeerTransport — SimNet-backed, pushes received frames and never
+//     blocks on send; benches run on this so the NIC model (packet budget,
+//     latency) shapes traffic;
+//   * TcpPeerTransport — real sockets, blocking reads, and writes that may
+//     block on a full socket buffer; examples and integration tests.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -34,10 +38,21 @@ constexpr net::Channel kClientIoChannelBase = 200;
 
 class PeerTransport {
  public:
+  /// Takes one frame received from a peer. Called on the transport's
+  /// delivery thread, which may serve other links too: it must not block.
+  using Receiver = std::function<void(ReplicaId from, const Bytes& frame)>;
+
   virtual ~PeerTransport() = default;
 
   /// Blocking: next frame from `from`; nullopt when the link is closed.
   virtual std::optional<Bytes> recv_from(ReplicaId from) = 0;
+
+  /// Push delivery: hand every frame from every peer to `receiver`
+  /// instead of queueing it for recv_from(), frames already queued first.
+  /// Returns false if this transport cannot push (the caller then reads
+  /// with recv_from()). shutdown() detaches the receiver: once it returns,
+  /// `receiver` is not running and is never called again.
+  virtual bool set_receiver(Receiver /*receiver*/) { return false; }
 
   /// Send one frame to `to`. Returns false if the link is down; the caller
   /// treats that as packet loss (retransmission recovers).
@@ -64,6 +79,19 @@ class SimPeerTransport : public PeerTransport {
     return std::move(message->payload);
   }
 
+  /// One SimNet sink per peer channel: the delivery thread calls
+  /// `receiver` where it would have queued the frame.
+  bool set_receiver(Receiver receiver) override {
+    for (ReplicaId from = 0; from < nodes_.size(); ++from) {
+      if (from == self_) continue;
+      net_.set_sink(nodes_[self_], kPeerChannelBase + from,
+                    [receiver, from](net::SimMessage&& message) {
+                      receiver(from, message.payload);
+                    });
+    }
+    return true;
+  }
+
   bool send_to(ReplicaId to, const Bytes& frame) override {
     return net_.send(nodes_[self_], nodes_[to], kPeerChannelBase + self_, frame);
   }
@@ -73,6 +101,7 @@ class SimPeerTransport : public PeerTransport {
 
   void shutdown() override {
     for (ReplicaId from = 0; from < nodes_.size(); ++from) {
+      net_.set_sink(nodes_[self_], kPeerChannelBase + from, nullptr);
       net_.close_inbox(nodes_[self_], kPeerChannelBase + from);
     }
   }

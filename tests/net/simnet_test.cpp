@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -144,6 +146,136 @@ TEST(SimNet, DuplicationDeliversTwice) {
   EXPECT_TRUE(net.recv_for(b, 0, kSeconds).has_value());
 }
 
+/// A sink that records each payload it is handed and the thread that
+/// handed it over.
+class Collector {
+ public:
+  SimNetwork::Sink sink() {
+    return [this](SimMessage&& message) {
+      std::lock_guard<std::mutex> guard(mu_);
+      payloads_.push_back(std::move(message.payload));
+      threads_.push_back(std::this_thread::get_id());
+      cv_.notify_all();
+    };
+  }
+  /// The payloads so far, once at least `count` have arrived (or after 5 s).
+  std::vector<Bytes> wait_for(std::size_t count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(5), [&] { return payloads_.size() >= count; });
+    return payloads_;
+  }
+  std::vector<std::thread::id> threads() {
+    std::lock_guard<std::mutex> guard(mu_);
+    return threads_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Bytes> payloads_;
+  std::vector<std::thread::id> threads_;
+};
+
+// A message that reached the inbox before the receiver attached (a
+// Prepare that beats the replica's start) is not left there: it goes to
+// the sink ahead of everything delivered later.
+TEST(SimNet, QueuedMessagesReachSinkFirstInOrder) {
+  Collector collector;  // outlives the network's delivery thread
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  for (std::uint8_t i = 0; i < 50; ++i) net.send(a, b, 0, Bytes{i});
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // all in b's inbox
+  net.set_sink(b, 0, collector.sink());
+  // The queued ones were handed over by set_sink itself, on this thread.
+  const auto drained = collector.threads();
+  ASSERT_EQ(drained.size(), 50u);
+  for (const auto& thread : drained) EXPECT_EQ(thread, std::this_thread::get_id());
+  for (std::uint8_t i = 50; i < 100; ++i) net.send(a, b, 0, Bytes{i});
+  const auto payloads = collector.wait_for(100);
+  ASSERT_EQ(payloads.size(), 100u);
+  for (std::uint8_t i = 0; i < 100; ++i) EXPECT_EQ(payloads[i], Bytes{i});
+  EXPECT_NE(collector.threads().back(), std::this_thread::get_id());
+  EXPECT_FALSE(net.recv_for(b, 0, 10 * kMillis).has_value());
+}
+
+TEST(SimNet, FifoPerSenderThreadThroughSink) {
+  Collector collector;  // outlives the network's delivery thread
+  SimNetParams params = fast_params();
+  params.node_pps = 2'000'000;  // NIC reservations queue up behind each other
+  SimNetwork net(params);
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  net.set_sink(b, 0, collector.sink());
+  constexpr int kThreads = 3, kPerThread = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        net.send(a, b, 0, Bytes{static_cast<std::uint8_t>(t), static_cast<std::uint8_t>(i),
+                                static_cast<std::uint8_t>(i >> 8)});
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const auto payloads = collector.wait_for(kThreads * kPerThread);
+  ASSERT_EQ(payloads.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  std::vector<int> next(kThreads, 0);
+  for (const auto& payload : payloads) {
+    const int t = payload[0];
+    EXPECT_EQ(payload[1] | (payload[2] << 8), next[static_cast<std::size_t>(t)]++)
+        << "thread " << t;
+  }
+}
+
+// Detaching waits out a sink call in progress: when set_sink(nullptr)
+// returns, the old sink is not running and is never called again, so its
+// owner may free what it captured. Later messages land in the inbox.
+TEST(SimNet, DetachWaitsForRunningSinkAndRestoresInbox) {
+  std::atomic<bool> running{false};
+  std::atomic<int> calls{0};
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  net.set_sink(b, 0, [&](SimMessage&&) {
+    running.store(true);
+    calls.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    running.store(false);
+  });
+  net.send(a, b, 0, Bytes{1});
+  const std::uint64_t deadline = mono_ns() + 5 * kSeconds;
+  while (!running.load() && mono_ns() < deadline) std::this_thread::yield();
+  ASSERT_TRUE(running.load()) << "the sink was never called";
+  net.set_sink(b, 0, nullptr);
+  EXPECT_FALSE(running.load()) << "set_sink returned while the old sink was running";
+  EXPECT_EQ(calls.load(), 1);
+  for (std::uint8_t i = 2; i < 7; ++i) net.send(a, b, 0, Bytes{i});
+  for (std::uint8_t i = 2; i < 7; ++i) {
+    auto msg = net.recv_for(b, 0, kSeconds);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->payload, Bytes{i});
+  }
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(SimNet, FaultDroppedMessageNeverReachesSink) {
+  Collector collector;  // outlives the network's delivery thread
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  net.set_sink(b, 0, collector.sink());
+  FaultPlan drop_all;
+  drop_all.drop_prob = 1.0;
+  net.set_fault(a, b, drop_all);
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(net.send(a, b, 0, Bytes{1}));
+  net.set_fault(a, b, FaultPlan{});
+  net.send(a, b, 0, Bytes{2});
+  EXPECT_EQ(collector.wait_for(1), std::vector<Bytes>{Bytes{2}});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(collector.wait_for(0).size(), 1u);
+}
+
 TEST(SimNet, CountersTrackPacketsBothSides) {
   SimNetwork net(fast_params());
   auto a = net.add_node("a");
@@ -174,14 +306,17 @@ TEST(SimNet, LoadedNodePingInflates) {
   // RTT to *that node only*.
   SimNetParams params = fast_params();
   params.one_way_ns = 30'000;
-  params.node_pps = 100'000;  // modest budget so we can overload it quickly
+  // A small budget, so the burst below queues far more NIC time than it
+  // takes to send even in a sanitizer build (at 100K pps a slow build
+  // drained much of the backlog before the probe ran).
+  params.node_pps = 10'000;
   SimNetwork net(params);
   auto leader = net.add_node("leader");
   auto follower = net.add_node("follower");
   auto other1 = net.add_node("other1");
   auto other2 = net.add_node("other2");
 
-  // Saturate the leader NIC: reserve ~20ms of NIC time in one burst.
+  // Saturate the leader NIC: reserve ~200ms of NIC time in one burst.
   for (int i = 0; i < 2000; ++i) net.send(leader, follower, 1, Bytes(100));
 
   const std::uint64_t rtt_to_leader = net.ping_rtt_ns(other1, leader);

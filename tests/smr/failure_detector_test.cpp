@@ -85,7 +85,7 @@ TEST(FailureDetector, FreshTimestampsPreventSuspicion) {
   rig.shared.view.store(0);
   rig.fd->start();
 
-  // Keep the leader's last_recv fresh, as a ReplicaIORcv thread would
+  // Keep the leader's last_recv fresh, as ReplicaIo::on_frame would
   // (§V-C3: direct timestamp writes, no notification).
   const std::uint64_t until = mono_ns() + 400 * kMillis;
   bool suspected = false;

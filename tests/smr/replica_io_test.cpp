@@ -1,9 +1,16 @@
-// Unit tests for ReplicaIo's send path (§V-B): frames go out on the
-// caller's thread when the transport never blocks, through the SendQueue
-// to ReplicaIOSnd-p otherwise. A failed inline write and a full SendQueue
-// are counted drops that never block the caller, and a transport that may
-// block (TCP) or the ZooKeeper-like baseline never writes on the caller's
-// thread.
+// Unit tests for ReplicaIo (§V-B).
+//
+// Send path: frames go out on the caller's thread when the transport never
+// blocks, through the SendQueue to ReplicaIOSnd-p otherwise. A failed
+// inline write and a full SendQueue are counted drops that never block the
+// caller, and a transport that may block (TCP) or the ZooKeeper-like
+// baseline never writes on the caller's thread.
+//
+// Receive path: over SimNet, which pushes frames, the delivery thread
+// hands each frame to the owning partition's DispatcherQueue and no
+// ReplicaIORcv thread exists; a full DispatcherQueue is a counted drop
+// that never stalls delivery. TCP keeps one ReplicaIORcv thread per peer,
+// and the baseline keeps receiving on its own LearnerHandler threads.
 #include "smr/replica_io.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +19,7 @@
 #include <thread>
 
 #include "baseline/zk_cluster.hpp"
+#include "metrics/thread_stats.hpp"
 #include "smr/client.hpp"
 
 namespace mcsmr::smr {
@@ -114,6 +122,15 @@ struct IoRig {
 
 paxos::Accept frame_of(std::uint64_t seq) { return paxos::Accept{0, seq}; }
 
+/// Names of the registered threads whose name contains `part`.
+std::vector<std::string> threads_named(const std::string& part) {
+  std::vector<std::string> names;
+  for (const auto& snap : metrics::ThreadRegistry::instance().snapshot_all()) {
+    if (snap.name.find(part) != std::string::npos) names.push_back(snap.name);
+  }
+  return names;
+}
+
 TEST(ReplicaIo, NeverBlockingTransportSendsOnCallersThread) {
   IoRig rig(3, /*may_block=*/false);
   ASSERT_TRUE(rig.io->send(1, frame_of(0)));
@@ -203,7 +220,7 @@ TEST(ReplicaIo, FullSendQueueDropsAndCountsWithoutBlocking) {
   for (std::uint64_t seq = 0; seq < writes.size(); ++seq) EXPECT_EQ(writes[seq].seq, seq);
 }
 
-TEST(ReplicaIo, BaselineFramesAllLeaveOnSenderThreads) {
+TEST(ReplicaIo, BaselineSendsOnSenderThreadsAndReceivesOnLearnerHandlers) {
   net::SimNetParams params;
   params.one_way_ns = 20'000;
   params.node_pps = 0;
@@ -231,6 +248,172 @@ TEST(ReplicaIo, BaselineFramesAllLeaveOnSenderThreads) {
   for (ReplicaId id = 0; id < 3; ++id) {
     EXPECT_EQ(cluster.replica(id).shared().inline_peer_frames.load(), 0u) << "replica " << id;
   }
+  // The followers' frames came through recv_from on the baseline's own
+  // threads: ReplicaIo attached no receiver and started no receive thread.
+  EXPECT_EQ(threads_named("LearnerHandler-").size(), 6u);
+  EXPECT_TRUE(threads_named("ReplicaIORcv-").empty());
+}
+
+// --- receive path -------------------------------------------------------------
+
+/// A peer's encoded Accept carrying `seq` as its instance.
+Bytes accept_frame(ReplicaId from, std::uint64_t seq) {
+  return paxos::encode_message(from, paxos::Accept{0, seq});
+}
+
+/// The next event on `dispatcher` as (sender, Accept instance); nullopt if
+/// none comes within `timeout_ns`.
+std::optional<std::pair<ReplicaId, paxos::InstanceId>> next_accept(
+    DispatcherQueue& dispatcher, std::uint64_t timeout_ns = 5 * kSeconds) {
+  auto event = dispatcher.pop_for(timeout_ns);
+  if (!event.has_value()) return std::nullopt;
+  const auto& peer = std::get<PeerMessageEvent>(*event);
+  return std::make_pair(peer.from, std::get<paxos::Accept>(peer.message).instance);
+}
+
+/// Replica 0's ReplicaIo over SimNet, not yet started; the test plays
+/// replicas 1 and 2 by sending on their links. Members are declared so the
+/// network's delivery thread stops before the queues it feeds go away.
+struct SimRcvRig {
+  explicit SimRcvRig(const std::string& prefix, std::size_t dispatcher_cap = 64)
+      : shared(3), dispatcher(dispatcher_cap, "d") {
+    config.n = 3;
+    config.thread_name_prefix = prefix;
+    net::SimNetParams params;
+    params.one_way_ns = 1000;
+    params.node_pps = 0;
+    params.node_bandwidth_bps = 0;
+    net = std::make_unique<net::SimNetwork>(params);
+    nodes = {net->add_node("r0"), net->add_node("r1"), net->add_node("r2")};
+    transport = std::make_unique<SimPeerTransport>(*net, nodes, 0);
+  }
+
+  /// Replica `from` sends `frame` to replica 0.
+  void send_from(ReplicaId from, Bytes frame) {
+    net->send(nodes[from], nodes[0], kPeerChannelBase + from, std::move(frame));
+  }
+
+  Config config;
+  SharedState shared;
+  DispatcherQueue dispatcher;
+  std::unique_ptr<net::SimNetwork> net;
+  std::vector<net::NodeId> nodes;
+  std::unique_ptr<SimPeerTransport> transport;
+};
+
+TEST(ReplicaIo, SimNetFramesReachDispatcherWithoutReceiveThreads) {
+  SimRcvRig rig("simrcv/");
+  ReplicaIo io(rig.config, 0, *rig.transport, rig.dispatcher, rig.shared);
+  rig.shared.last_recv_ns[1].store(0);
+  rig.shared.last_recv_ns[2].store(0);
+  // Sent before start: it waits in the inbox and is handed over first.
+  rig.send_from(1, accept_frame(1, 0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  io.start();
+  rig.send_from(2, accept_frame(2, 1));
+  EXPECT_EQ(next_accept(rig.dispatcher), std::make_pair(ReplicaId{1}, paxos::InstanceId{0}));
+  EXPECT_EQ(next_accept(rig.dispatcher), std::make_pair(ReplicaId{2}, paxos::InstanceId{1}));
+  EXPECT_GT(rig.shared.last_recv_ns[1].load(), 0u);
+  EXPECT_GT(rig.shared.last_recv_ns[2].load(), 0u);
+  EXPECT_EQ(rig.shared.dropped_peer_frames.load(), 0u);
+  EXPECT_TRUE(threads_named("simrcv/ReplicaIORcv-").empty());
+  EXPECT_TRUE(threads_named("simrcv/ReplicaIOSnd-").empty());
+  io.stop();
+  // Detached: a frame sent now stays in the inbox.
+  rig.send_from(1, accept_frame(1, 2));
+  EXPECT_FALSE(next_accept(rig.dispatcher, 50 * kMillis).has_value());
+}
+
+// One delivery thread serves every node, so a full DispatcherQueue must
+// cost only this replica's frame, as a full NIC ring would.
+TEST(ReplicaIo, FullDispatcherQueueIsCountedDropThatNeverStallsDelivery) {
+  constexpr std::size_t kCap = 4;
+  constexpr std::uint64_t kSent = 10;
+  SimRcvRig rig("fullrcv/", kCap);
+  ReplicaIo io(rig.config, 0, *rig.transport, rig.dispatcher, rig.shared);
+  io.start();
+  for (std::uint64_t seq = 0; seq < kSent; ++seq) rig.send_from(1, accept_frame(1, seq));
+  const std::uint64_t deadline = mono_ns() + 5 * kSeconds;
+  while (rig.shared.dropped_peer_frames.load() < kSent - kCap && mono_ns() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(rig.shared.dropped_peer_frames.load(), kSent - kCap);
+  // The delivery thread still delivers other traffic.
+  rig.net->send(rig.nodes[1], rig.nodes[0], 7, Bytes{1});
+  EXPECT_TRUE(rig.net->recv_for(rig.nodes[0], 7, kSeconds).has_value());
+  ASSERT_EQ(rig.dispatcher.size(), kCap);
+  for (std::uint64_t seq = 0; seq < kCap; ++seq) {
+    EXPECT_EQ(next_accept(rig.dispatcher), std::make_pair(ReplicaId{1}, seq));
+  }
+  rig.dispatcher.close();  // as Replica::stop does before stopping ReplicaIo
+  io.stop();
+}
+
+TEST(ReplicaIo, MalformedFrameIsDropped) {
+  SimRcvRig rig("badrcv/");
+  ReplicaIo io(rig.config, 0, *rig.transport, rig.dispatcher, rig.shared);
+  io.start();
+  rig.send_from(1, Bytes{0xde, 0xad});
+  rig.send_from(1, accept_frame(1, 7));
+  EXPECT_EQ(next_accept(rig.dispatcher), std::make_pair(ReplicaId{1}, paxos::InstanceId{7}));
+  EXPECT_FALSE(next_accept(rig.dispatcher, 20 * kMillis).has_value());
+  io.stop();
+}
+
+TEST(ReplicaIo, PartitionTagPicksDispatcher) {
+  SimRcvRig rig("partrcv/");
+  SharedState shared1(3);
+  DispatcherQueue dispatcher1(64, "d1");
+  ReplicaIo io(rig.config, 0, *rig.transport);
+  io.register_partition(rig.dispatcher, rig.shared);
+  io.register_partition(dispatcher1, shared1);
+  io.start();
+  const auto tagged = [](std::uint8_t partition, std::uint64_t seq) {
+    Bytes frame{partition};
+    const Bytes inner = accept_frame(2, seq);
+    frame.insert(frame.end(), inner.begin(), inner.end());
+    return frame;
+  };
+  rig.send_from(2, tagged(1, 11));
+  rig.send_from(2, tagged(5, 12));  // no such partition: malformed
+  rig.send_from(2, tagged(0, 10));
+  EXPECT_EQ(next_accept(rig.dispatcher), std::make_pair(ReplicaId{2}, paxos::InstanceId{10}));
+  EXPECT_EQ(next_accept(dispatcher1), std::make_pair(ReplicaId{2}, paxos::InstanceId{11}));
+  EXPECT_FALSE(next_accept(rig.dispatcher, 20 * kMillis).has_value());
+  EXPECT_FALSE(next_accept(dispatcher1, 20 * kMillis).has_value());
+  io.stop();
+}
+
+TEST(ReplicaIo, TcpKeepsOneReceiveThreadPerPeer) {
+  Config config;
+  config.n = 2;
+  config.thread_name_prefix = "tcprcv/";
+  constexpr std::uint16_t kBasePort = 21710;
+  std::unique_ptr<TcpPeerTransport> links[2];
+  {
+    std::thread peer([&] {
+      links[1] = TcpPeerTransport::connect_all(config, 1, kBasePort, mono_ns() + 5 * kSeconds);
+    });
+    links[0] = TcpPeerTransport::connect_all(config, 0, kBasePort, mono_ns() + 5 * kSeconds);
+    peer.join();
+  }
+  ASSERT_TRUE(links[0] && links[1]) << "loopback link failed to form";
+
+  SharedState shared(2);
+  DispatcherQueue dispatcher(64, "d");
+  ReplicaIo io(config, 0, *links[0], dispatcher, shared);
+  io.start();
+  for (std::uint64_t seq = 0; seq < 20; ++seq) {
+    ASSERT_TRUE(links[1]->send_to(0, accept_frame(1, seq)));
+  }
+  for (std::uint64_t seq = 0; seq < 20; ++seq) {
+    ASSERT_EQ(next_accept(dispatcher), std::make_pair(ReplicaId{1}, seq));
+  }
+  // A thread registers its name when it starts running; it has by now.
+  EXPECT_EQ(threads_named("tcprcv/ReplicaIORcv-"),
+            std::vector<std::string>{"tcprcv/ReplicaIORcv-1"});
+  io.stop();
+  links[1]->shutdown();
 }
 
 }  // namespace
