@@ -22,6 +22,7 @@
 #include "baseline/zk_cluster.hpp"
 #include "common/affinity.hpp"
 #include "common/clock.hpp"
+#include "common/histogram.hpp"
 #include "metrics/sampler.hpp"
 #include "metrics/thread_stats.hpp"
 #include "net/simnet.hpp"
@@ -76,6 +77,9 @@ struct RealRunResult {
   std::uint64_t lease_read_fallbacks = 0;
   QueueAverages queues;
   metrics::NetCounters::Snapshot leader_net;  ///< deltas over the window
+  /// SimNet delivery lateness (ns past each message's due time) over the
+  /// window; merged across --repeat runs.
+  Histogram simnet_lateness;
   std::vector<metrics::ThreadStateSnapshot> leader_threads;  // r0/ threads
 };
 
@@ -176,6 +180,7 @@ inline RealRunResult run_real(const RealRunParams& params) {
       replicas.empty() ? 0 : replicas[0]->shared().lease_read_fallbacks.load();
   const std::uint64_t cpu_before = process_cpu_ns();
   const auto net_before = network.counters(nodes[0]).snapshot();
+  network.reset_lateness();
   const std::uint64_t t0 = mono_ns();
 
   // Mid-run RTT probes (Table II), averaged over several samples.
@@ -194,6 +199,7 @@ inline RealRunResult run_real(const RealRunParams& params) {
   const std::uint64_t completed = swarm.completed() - completed_before;
   const std::uint64_t cpu_ns = process_cpu_ns() - cpu_before;
   result.leader_net = network.counters(nodes[0]).snapshot() - net_before;
+  result.simnet_lateness = network.lateness();
   auto snaps = metrics::ThreadRegistry::instance().snapshot_all();
   auto latency = swarm.latency_histogram();
 
@@ -335,6 +341,8 @@ inline RealRunResult run_real(RealRunParams params, const BenchArgs& args) {
   }
   avg.lease_reads = lease_sum / n64;
   avg.lease_read_fallbacks = fallback_sum / n64;
+  avg.simnet_lateness.reset();
+  for (const auto& r : runs) avg.simnet_lateness.merge(r.simnet_lateness);
 
   double var = 0;
   for (const auto& r : runs) {

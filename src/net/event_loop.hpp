@@ -8,6 +8,7 @@
 // "message queue of the ClientIO thread" in Fig 3.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -56,8 +57,9 @@ class EventLoop {
   std::unordered_map<int, FdCallback> callbacks_;
   std::mutex task_mu_;
   std::vector<std::function<void()>> tasks_;
-  volatile bool stop_requested_ = false;
-  bool running_ = false;
+  // Written by stop() and run() on other threads than the ones reading.
+  std::atomic<bool> stop_requested_{false};
+  std::atomic<bool> running_{false};
 };
 
 }  // namespace mcsmr::net

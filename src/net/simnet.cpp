@@ -1,5 +1,7 @@
 #include "net/simnet.hpp"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <chrono>
 
@@ -66,32 +68,34 @@ std::uint64_t SimNetwork::reserve_nic(Node& node, bool out, std::uint64_t packet
 }
 
 bool SimNetwork::send(NodeId from, NodeId to, Channel channel, Bytes payload) {
-  {
-    std::lock_guard<std::mutex> guard(flight_mu_);
-    if (stopping_) return false;
-  }
+  if (stopping_.load()) return false;
 
   const std::uint64_t now = mono_ns();
   const std::uint64_t bytes = payload.size();
   const std::uint64_t packets = metrics::packets_for_bytes(bytes);
 
-  // Fault lookup (drop / duplicate / delay).
-  FaultPlan plan;
-  {
-    std::lock_guard<std::mutex> guard(fault_mu_);
-    auto it = faults_.find({from, to});
-    if (it != faults_.end()) plan = it->second;
-  }
-
   Node& src = node_at(from);
   Node& dst = node_at(to);
   src.counters.on_send(bytes);
 
+  // Faults (drop / duplicate / delay): the plan and its random draws in
+  // one lock hold, and no lock at all before the first set_fault.
+  FaultPlan plan;
   int copies = 1;
-  {
+  std::uint64_t jitter_ns[2] = {0, 0};
+  if (any_faults_.load()) {
     std::lock_guard<std::mutex> guard(fault_mu_);
-    if (plan.drop_prob > 0 && fault_rng_.chance(plan.drop_prob)) copies = 0;
-    if (copies == 1 && plan.dup_prob > 0 && fault_rng_.chance(plan.dup_prob)) copies = 2;
+    auto it = faults_.find({from, to});
+    if (it != faults_.end()) {
+      plan = it->second;
+      if (plan.drop_prob > 0 && fault_rng_.chance(plan.drop_prob)) copies = 0;
+      if (copies == 1 && plan.dup_prob > 0 && fault_rng_.chance(plan.dup_prob)) copies = 2;
+      if (plan.jitter_ns > 0) {
+        for (int copy = 0; copy < copies; ++copy) {
+          jitter_ns[copy] = fault_rng_.uniform(plan.jitter_ns);
+        }
+      }
+    }
   }
   if (copies == 0) return true;  // silently lost, as on a real network
 
@@ -99,23 +103,25 @@ bool SimNetwork::send(NodeId from, NodeId to, Channel channel, Bytes payload) {
     // Egress: the sender's NIC must emit `packets` frames.
     const std::uint64_t egress_done = reserve_nic(src, /*out=*/true, packets, bytes, now);
     // Propagation.
-    std::uint64_t arrive = egress_done + params_.one_way_ns + plan.extra_delay_ns;
-    if (plan.jitter_ns > 0) {
-      std::lock_guard<std::mutex> guard(fault_mu_);
-      arrive += fault_rng_.uniform(plan.jitter_ns);
-    }
+    const std::uint64_t arrive =
+        egress_done + params_.one_way_ns + plan.extra_delay_ns + jitter_ns[copy];
     // Ingress: the receiver's NIC must absorb the frames before delivery.
     const std::uint64_t deliver_at = reserve_nic(dst, /*out=*/false, packets, bytes, arrive);
     dst.counters.on_recv(bytes);
 
-    SimMessage message{from, channel, payload, now};
+    // The last copy takes the payload; only a duplicate copies it.
+    SimMessage message{from, channel, copy + 1 == copies ? std::move(payload) : payload, now};
+    bool earliest = false;
     {
       std::lock_guard<std::mutex> guard(flight_mu_);
-      if (stopping_) return false;
-      heap_.push_back(InFlight{deliver_at, next_seq_++, to, std::move(message)});
+      if (stopping_.load()) return false;
+      const std::uint64_t seq = next_seq_++;
+      heap_.push_back(InFlight{deliver_at, seq, to, std::move(message)});
       std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+      earliest = heap_.front().seq == seq;
     }
-    flight_cv_.notify_one();
+    // A later message leaves the delivery thread's timed wait as it is.
+    if (earliest) flight_cv_.notify_one();
   }
   return true;
 }
@@ -134,7 +140,7 @@ void SimNetwork::close_inbox(NodeId node, Channel channel) {
 }
 
 void SimNetwork::set_sink(NodeId node, Channel channel, Sink sink) {
-  // Waits out a delivery in progress and keeps the delivery thread out
+  // Waits out a batch in progress and keeps the delivery thread out
   // until the new sink is in place, so nothing overtakes the drained
   // messages and nothing reaches the old sink after we return.
   std::lock_guard<std::mutex> sink_guard(sink_mu_);
@@ -158,6 +164,7 @@ bool SimNetwork::inject(NodeId node, Channel channel, SimMessage message) {
 void SimNetwork::set_fault(NodeId from, NodeId to, FaultPlan plan) {
   std::lock_guard<std::mutex> guard(fault_mu_);
   faults_[{from, to}] = plan;
+  any_faults_.store(true);
 }
 
 void SimNetwork::set_partition(NodeId a, NodeId b, bool cut) {
@@ -189,11 +196,21 @@ std::uint64_t SimNetwork::ping_rtt_ns(NodeId a, NodeId b) {
 
 metrics::NetCounters& SimNetwork::counters(NodeId node) { return node_at(node).counters; }
 
+Histogram SimNetwork::lateness() const {
+  std::lock_guard<std::mutex> guard(lateness_mu_);
+  return lateness_;
+}
+
+void SimNetwork::reset_lateness() {
+  std::lock_guard<std::mutex> guard(lateness_mu_);
+  lateness_.reset();
+}
+
 void SimNetwork::shutdown() {
   {
     std::lock_guard<std::mutex> guard(flight_mu_);
-    if (stopping_) return;
-    stopping_ = true;
+    if (stopping_.load()) return;
+    stopping_.store(true);
   }
   flight_cv_.notify_all();
   delivery_thread_.join();
@@ -201,47 +218,73 @@ void SimNetwork::shutdown() {
   for (auto& [key, port] : ports_) port.inbox->close();
 }
 
-void SimNetwork::deliver(NodeId to, SimMessage message) {
+void SimNetwork::deliver_batch() {
+  // One sink_mu_ hold for the batch keeps set_sink out until it is done;
+  // one inbox_mu_ hold resolves every target, and is released before any
+  // sink runs (a sink may inject(), which takes inbox_mu_).
   std::lock_guard<std::mutex> sink_guard(sink_mu_);
-  const Sink* sink = nullptr;
-  std::shared_ptr<Inbox> box;
   {
     std::lock_guard<std::mutex> guard(inbox_mu_);
-    Port& port = port_locked(to, message.channel);
-    if (port.sink) {
-      sink = &port.sink;
-    } else {
-      box = port.inbox;
+    for (const InFlight& item : batch_) {
+      Port& port = port_locked(item.to, item.message.channel);
+      if (port.sink) {
+        targets_.push_back(Target{&port.sink, nullptr});
+      } else {
+        targets_.push_back(Target{nullptr, port.inbox});
+      }
     }
   }
-  if (sink != nullptr) {
-    (*sink)(std::move(message));
-  } else {
-    // try_push: a full inbox behaves like a NIC ring overflow — the frame
-    // is dropped and end-to-end recovery (retransmission) kicks in.
-    box->try_push(std::move(message));
+  // Lateness is taken as each message is handed over, so a message late
+  // in a long batch counts the time spent on the ones before it.
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    late_ns_.push_back(mono_ns() - batch_[i].deliver_at_ns);
+    if (targets_[i].sink != nullptr) {
+      (*targets_[i].sink)(std::move(batch_[i].message));
+    } else {
+      // try_push: a full inbox behaves like a NIC ring overflow — the
+      // frame is dropped and end-to-end recovery (retransmission) kicks in.
+      targets_[i].inbox->try_push(std::move(batch_[i].message));
+    }
   }
+  {
+    std::lock_guard<std::mutex> guard(lateness_mu_);
+    for (const std::uint64_t late : late_ns_) lateness_.record(late);
+  }
+  late_ns_.clear();
+  targets_.clear();
+  batch_.clear();
 }
 
+// Sleeps until the earliest message is due, then delivers every message
+// due by then as one batch. send() notifies only when its message became
+// the earliest, the one case in which the current timed wait would end too
+// late; every other wake-up would find nothing due.
 void SimNetwork::delivery_loop() {
+  // 1 ns timer slack, so the timed wait ends at the due time and not up to
+  // the default 50 us after it. A per-thread attribute of this thread only.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   std::unique_lock<std::mutex> lock(flight_mu_);
   for (;;) {
-    if (stopping_ && heap_.empty()) return;
+    const bool stopping = stopping_.load();
     if (heap_.empty()) {
-      flight_cv_.wait(lock, [this] { return stopping_ || !heap_.empty(); });
+      if (stopping) return;
+      flight_cv_.wait(lock, [this] { return stopping_.load() || !heap_.empty(); });
       continue;
     }
     const std::uint64_t now = mono_ns();
     const std::uint64_t due = heap_.front().deliver_at_ns;
-    if (due > now && !stopping_) {
+    if (due > now && !stopping) {
       flight_cv_.wait_for(lock, std::chrono::nanoseconds(due - now));
       continue;
     }
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    InFlight item = std::move(heap_.back());
-    heap_.pop_back();
+    // Everything already due (at shutdown: everything), in heap order.
+    while (!heap_.empty() && (stopping || heap_.front().deliver_at_ns <= now)) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      batch_.push_back(std::move(heap_.back()));
+      heap_.pop_back();
+    }
     lock.unlock();
-    deliver(item.to, std::move(item.message));
+    deliver_batch();
     lock.lock();
   }
 }

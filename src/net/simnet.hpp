@@ -22,6 +22,17 @@
 //     the receiver attached (set_sink), playing the kernel's part of
 //     delivering a frame to the process with no receive thread to wake.
 //
+// The delivery thread's cost is per batch, not per message, because it
+// sits on every request's path several times (request, Propose, Accept,
+// reply). Each wake-up pops every message already due, in (due time,
+// send order), under one lock hold, and resolves all their sinks and
+// inboxes under one more. send() wakes it only when the new message is
+// the earliest in flight; otherwise the thread's timed wait already ends
+// in time. That wait runs with 1 ns timer slack: at the default 50 us
+// the kernel would let it overshoot the due time by that much. Every
+// delivery records its lateness (delivery time minus due time) in a
+// histogram (lateness()).
+//
 // SimNet also provides per-directed-link fault injection (drop, duplicate,
 // delay, jitter/reordering, partition) used by the Paxos and SMR property
 // tests, and a ping probe that measures RTT through the same NIC
@@ -29,6 +40,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -39,6 +51,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/histogram.hpp"
 #include "common/queue.hpp"
 #include "common/rand.hpp"
 #include "metrics/net_counters.hpp"
@@ -142,6 +155,12 @@ class SimNetwork {
   /// NIC counters for Table III (packets & bytes, both directions).
   metrics::NetCounters& counters(NodeId node);
 
+  /// Snapshot of every delivery's lateness in ns since the last
+  /// reset_lateness(): how long after its due time the delivery thread
+  /// handed the message to its sink or inbox. The model's own error.
+  Histogram lateness() const;
+  void reset_lateness();
+
   /// Close all inboxes and stop the delivery thread.
   void shutdown();
 
@@ -184,9 +203,15 @@ class SimNetwork {
   std::uint64_t reserve_nic(Node& node, bool out, std::uint64_t packets, std::uint64_t bytes,
                             std::uint64_t earliest_ns);
 
+  /// Where one message of a batch goes: a sink, or else an inbox.
+  struct Target {
+    const Sink* sink = nullptr;
+    std::shared_ptr<Inbox> inbox;
+  };
+
   Port& port_locked(NodeId node, Channel channel);  // caller holds inbox_mu_
   std::shared_ptr<Inbox> inbox(NodeId node, Channel channel);
-  void deliver(NodeId to, SimMessage message);
+  void deliver_batch();
   void delivery_loop();
 
   Node& node_at(NodeId id);
@@ -196,12 +221,15 @@ class SimNetwork {
   std::atomic<std::size_t> node_count_{0};
   std::mutex add_node_mu_;
 
-  // Held by the delivery thread for each delivery and by set_sink, so a
-  // sink is swapped only between calls. Taken before inbox_mu_.
+  // Held by the delivery thread for each batch and by set_sink, so a
+  // sink is swapped only between batches. Taken before inbox_mu_.
   std::mutex sink_mu_;
   std::mutex inbox_mu_;
   std::map<std::pair<NodeId, Channel>, Port> ports_;
 
+  // Set once by the first set_fault and never cleared: until then send()
+  // takes no fault_mu_.
+  std::atomic<bool> any_faults_{false};
   std::mutex fault_mu_;
   std::map<std::pair<NodeId, NodeId>, FaultPlan> faults_;
   Rng fault_rng_;
@@ -211,7 +239,18 @@ class SimNetwork {
   // Min-heap on deliver_at (std::greater via operator>).
   std::vector<InFlight> heap_;
   std::uint64_t next_seq_ = 0;
-  bool stopping_ = false;
+  // Written under flight_mu_ (the delivery thread waits on it); send()
+  // also reads it without the lock to fail fast after shutdown.
+  std::atomic<bool> stopping_{false};
+
+  // The delivery thread's own: the batch it is delivering, where each
+  // message goes and how late it got there.
+  std::vector<InFlight> batch_;
+  std::vector<Target> targets_;
+  std::vector<std::uint64_t> late_ns_;
+
+  mutable std::mutex lateness_mu_;
+  Histogram lateness_;
 
   metrics::NamedThread delivery_thread_;
 };

@@ -146,10 +146,14 @@ std::optional<TcpStream> TcpListener::accept() {
   return stream;
 }
 
-void TcpListener::close() {
-  // shutdown() first: closing a listening fd does not reliably wake a
-  // thread blocked in accept(); shutdown does (accept fails with EINVAL).
+void TcpListener::shutdown() {
+  // Closing a listening fd does not reliably wake a thread blocked in
+  // accept(); shutdown does (accept fails with EINVAL).
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
+}
+
+void TcpListener::close() {
+  shutdown();
   fd_.reset();
 }
 

@@ -92,7 +92,11 @@ class TcpListener {
   std::optional<TcpStream> accept();
   std::uint16_t port() const { return port_; }
   int fd() const { return fd_.get(); }
-  /// Close the listening socket, causing a blocked accept() to fail.
+  /// Make a blocked (and every later) accept() fail, keeping the fd, so
+  /// the thread in accept() can be joined before close().
+  void shutdown();
+  /// Release the fd. Call only when no thread can be in accept(): the
+  /// number may be reused at once.
   void close();
 
  private:

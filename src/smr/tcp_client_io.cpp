@@ -51,8 +51,9 @@ void TcpClientIo::stop() {
   // Close the reply queues first so a ServiceManager blocked on a full
   // queue unwedges (its push fails) before the loops go away.
   for (auto& outbox : outboxes_) outbox->close();
-  listener_->close();
+  listener_->shutdown();  // wakes accept_loop, which still reads the fd
   accept_thread_.join();
+  listener_->close();
   for (auto& loop : loops_) loop->stop();
   threads_.clear();  // joins IO threads
   // Close remaining connections (loop threads are gone; safe to touch).

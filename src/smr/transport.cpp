@@ -56,8 +56,9 @@ std::unique_ptr<TcpPeerTransport> TcpPeerTransport::connect_all(const Config& co
   }
 
   if (!ok) {
-    listener->close();
+    listener->shutdown();
     acceptor.join();
+    listener->close();
     return nullptr;
   }
   acceptor.join();

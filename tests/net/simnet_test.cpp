@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -274,6 +276,200 @@ TEST(SimNet, FaultDroppedMessageNeverReachesSink) {
   EXPECT_EQ(collector.wait_for(1), std::vector<Bytes>{Bytes{2}});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(collector.wait_for(0).size(), 1u);
+}
+
+// With the NIC model off a message is due exactly one_way_ns after it was
+// sent. Batched delivery must never hand one over before that, even when
+// many senders keep several messages due at every wake-up.
+TEST(SimNet, NeverDeliversEarlyUnderConcurrentBurst) {
+  SimNetParams params = fast_params();
+  // Longer than the burst takes to send, so most messages are still in
+  // flight, not overdue, when the delivery thread wakes for the first.
+  params.one_way_ns = 20 * kMillis;
+  SimNetwork net(params);
+  auto b = net.add_node("b");
+  std::mutex mu;
+  std::vector<std::uint64_t> early_by_ns;
+  std::atomic<int> delivered{0};
+  net.set_sink(b, 0, [&](SimMessage&& message) {
+    const std::uint64_t now = mono_ns();
+    const std::uint64_t due = message.sent_at_ns + params.one_way_ns;
+    if (now < due) {
+      std::lock_guard<std::mutex> guard(mu);
+      early_by_ns.push_back(due - now);
+    }
+    delivered.fetch_add(1);
+  });
+  // Bursts of 100 from each thread, paced so the delivery thread keeps up
+  // and wakes while later messages are still in flight.
+  constexpr int kThreads = 3, kPerThread = 2000, kBurst = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    const NodeId from = net.add_node("s" + std::to_string(t));
+    threads.emplace_back([&, from] {
+      for (int i = 0; i < kPerThread; ++i) {
+        net.send(from, b, 0, Bytes{1});
+        if (i % kBurst == kBurst - 1) std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const std::uint64_t deadline = mono_ns() + 5 * kSeconds;
+  while (delivered.load() < kThreads * kPerThread && mono_ns() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  net.set_sink(b, 0, nullptr);
+  EXPECT_EQ(delivered.load(), kThreads * kPerThread);
+  std::lock_guard<std::mutex> guard(mu);
+  EXPECT_TRUE(early_by_ns.empty()) << early_by_ns.size() << " early, first by "
+                                   << early_by_ns.front() << " ns";
+  EXPECT_EQ(net.lateness().count(), static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+// send() wakes the delivery thread only for a new earliest message. One
+// that becomes the earliest while the thread waits for a far-off one must
+// still go out on time, and the far-off one must still wait its turn.
+// (The quick message goes to another node: b's ingress NIC is reserved in
+// send order, so a c->b message would be due after the delayed a->b.)
+TEST(SimNet, NewEarliestMessageWakesDeliveryThread) {
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  auto c = net.add_node("c");
+  auto d = net.add_node("d");
+  FaultPlan slow;
+  slow.extra_delay_ns = 500 * kMillis;
+  net.set_fault(a, b, slow);
+  ASSERT_TRUE(net.send(a, b, 0, Bytes{1}));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // thread waits for a->b
+  const std::uint64_t t0 = mono_ns();
+  ASSERT_TRUE(net.send(c, d, 0, Bytes{2}));
+  auto quick = net.recv_for(d, 0, kSeconds);
+  ASSERT_TRUE(quick.has_value());
+  EXPECT_LT(mono_ns() - t0, 100 * kMillis) << "c->d waited behind the delayed a->b";
+  auto slow_one = net.recv_for(b, 0, 2 * kSeconds);
+  ASSERT_TRUE(slow_one.has_value());
+  EXPECT_GE(mono_ns(), slow_one->sent_at_ns + 500 * kMillis + fast_params().one_way_ns);
+}
+
+// One batch that mixes sink and inbox destinations: each message lands
+// where its (node, channel) says, and each sender's order holds in both.
+TEST(SimNet, MixedBatchKeepsDestinationsAndPerSenderOrder) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<Bytes> sunk;
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto c = net.add_node("c");
+  auto b = net.add_node("b");
+  auto d = net.add_node("d");
+  net.set_sink(b, 0, [&](SimMessage&& message) {
+    std::unique_lock<std::mutex> lock(mu);
+    sunk.push_back(std::move(message.payload));
+    cv.notify_all();
+    // The first message holds the delivery thread until the rest are due,
+    // so they all go out in the next batch.
+    cv.wait(lock, [&] { return release; });
+  });
+  net.send(a, b, 0, Bytes{0xff});
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] { return !sunk.empty(); }));
+  }
+  constexpr std::uint8_t kPerSender = 50;
+  for (std::uint8_t i = 0; i < kPerSender; ++i) {
+    for (NodeId from : {a, c}) {
+      const auto tag = static_cast<std::uint8_t>(from);
+      net.send(from, b, 0, Bytes{tag, i});  // sink
+      net.send(from, b, 1, Bytes{tag, i});  // b's other channel: inbox
+      net.send(from, d, 0, Bytes{tag, i});  // another node: inbox
+    }
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // all due
+  {
+    std::lock_guard<std::mutex> guard(mu);
+    release = true;
+  }
+  cv.notify_all();
+
+  const auto check_order = [&](const std::vector<Bytes>& got, const char* where) {
+    ASSERT_EQ(got.size(), 2u * kPerSender) << where;
+    std::map<std::uint8_t, std::uint8_t> next;
+    for (const Bytes& payload : got) {
+      ASSERT_EQ(payload.size(), 2u) << where;
+      EXPECT_EQ(payload[1], next[payload[0]]++) << where << ", sender " << int{payload[0]};
+    }
+  };
+  const auto drain = [&](NodeId node, Channel channel) {
+    std::vector<Bytes> got;
+    for (int n = 0; n < 2 * kPerSender; ++n) {
+      auto msg = net.recv_for(node, channel, kSeconds);
+      if (!msg.has_value()) break;
+      got.push_back(std::move(msg->payload));
+    }
+    EXPECT_FALSE(net.recv_for(node, channel, 10 * kMillis).has_value());
+    return got;
+  };
+  check_order(drain(b, 1), "b:1 inbox");
+  check_order(drain(d, 0), "d:0 inbox");
+  const std::uint64_t deadline = mono_ns() + 5 * kSeconds;
+  std::vector<Bytes> to_sink;
+  while (mono_ns() < deadline) {
+    {
+      std::lock_guard<std::mutex> guard(mu);
+      if (sunk.size() >= 1 + 2u * kPerSender) {
+        to_sink.assign(sunk.begin() + 1, sunk.end());
+        break;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  net.set_sink(b, 0, nullptr);
+  check_order(to_sink, "b:0 sink");
+  EXPECT_FALSE(net.recv_for(b, 0, 10 * kMillis).has_value()) << "a sink message hit the inbox";
+}
+
+// Faults first set after traffic is flowing (a fault-free send takes no
+// fault lock) still apply from the next send on, and healing restores the
+// link. Messages sent before the cut are already on the wire and arrive.
+TEST(SimNet, PartitionSetMidStreamTakesEffect) {
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(net.send(a, b, 0, Bytes{0, i}));
+  net.set_partition(a, b, true);
+  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(net.send(a, b, 0, Bytes{1, i}));
+  net.set_partition(a, b, false);
+  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(net.send(a, b, 0, Bytes{2, i}));
+  for (std::uint8_t phase : {0, 2}) {
+    for (std::uint8_t i = 0; i < 50; ++i) {
+      auto msg = net.recv_for(b, 0, kSeconds);
+      ASSERT_TRUE(msg.has_value()) << "phase " << int{phase} << ", message " << int{i};
+      EXPECT_EQ(msg->payload, (Bytes{phase, i}));
+    }
+  }
+  EXPECT_FALSE(net.recv_for(b, 0, 20 * kMillis).has_value());
+}
+
+TEST(SimNet, LatenessCountsEveryDeliveryUntilReset) {
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  // A batch records its lateness after its last hand-off: poll for it.
+  const auto count_reaches = [&](std::uint64_t want) {
+    const std::uint64_t deadline = mono_ns() + 5 * kSeconds;
+    while (net.lateness().count() < want && mono_ns() < deadline) std::this_thread::yield();
+    return net.lateness().count();
+  };
+  for (int i = 0; i < 10; ++i) net.send(a, b, 0, Bytes{1});
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(net.recv_for(b, 0, kSeconds).has_value());
+  EXPECT_EQ(count_reaches(10), 10u);
+  net.reset_lateness();
+  EXPECT_EQ(net.lateness().count(), 0u);
+  net.send(a, b, 0, Bytes{2});
+  ASSERT_TRUE(net.recv_for(b, 0, kSeconds).has_value());
+  EXPECT_EQ(count_reaches(1), 1u);
 }
 
 TEST(SimNet, CountersTrackPacketsBothSides) {
