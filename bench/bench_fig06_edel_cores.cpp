@@ -9,34 +9,12 @@
 
 using namespace mcsmr;
 
-namespace {
-// The edel nodes ran fewer, individually-busier stages (different CPU,
-// different JIT profile): scale stage demands so the 1-core throughput
-// matches the paper's ~11.5K req/s, and keep its measured speedup curve.
-mcsmr::sim::SmrModel edel_model() {
-  mcsmr::sim::SmrCostProfile profile;
-  const double scale = 1.6;
-  profile.clientio_ns *= scale;
-  profile.batcher_ns *= scale;
-  profile.protocol_batch_ns *= scale;
-  profile.protocol_msg_ns *= scale;
-  profile.replica_exec_ns *= scale;
-  profile.replicaio_snd_batch_ns *= scale;
-  profile.replicaio_rcv_msg_ns *= scale;
-  // Paper Fig 7: ~3x CPU for a ~7x speedup => heavy 1-core sharing tax.
-  profile.single_core_tax = 2.3;
-  mcsmr::sim::ScalingCurve curve;
-  curve.points = {{1, 1.0}, {2, 1.95}, {4, 3.9}, {6, 5.8}, {8, 7.0}};
-  return {profile, curve};
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv, "fig06");
   bench::BenchReport report(args,
                             "Figure 6: throughput & speedup vs cores (edel, 8-core nodes)");
 
-  auto model = edel_model();
+  const auto model = bench::edel_model();
   bench::print_header("Figure 6: throughput & speedup vs cores (edel, 8-core nodes)");
   std::printf("  %-6s | %14s %8s | %14s %8s | %s\n", "cores", "n=3 req/s", "speedup",
               "n=5 req/s", "speedup", "bottleneck(n=3) [model]");

@@ -12,21 +12,7 @@ int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv, "fig07");
   bench::BenchReport report(args, "Figure 7: edel CPU usage and total blocked time vs cores");
 
-  // Same edel scaling as bench_fig06.
-  sim::SmrCostProfile profile;
-  const double scale = 1.6;
-  profile.clientio_ns *= scale;
-  profile.batcher_ns *= scale;
-  profile.protocol_batch_ns *= scale;
-  profile.protocol_msg_ns *= scale;
-  profile.replica_exec_ns *= scale;
-  profile.replicaio_snd_batch_ns *= scale;
-  profile.replicaio_rcv_msg_ns *= scale;
-  // Paper Fig 7: ~3x CPU for a ~7x speedup => heavy 1-core sharing tax.
-  profile.single_core_tax = 2.3;
-  sim::ScalingCurve curve;
-  curve.points = {{1, 1.0}, {2, 1.95}, {4, 3.9}, {6, 5.8}, {8, 7.0}};
-  sim::SmrModel model(profile, curve);
+  const auto model = bench::edel_model();
 
   for (int n : {3, 5}) {
     bench::print_header("Figure 7 (n=" + std::to_string(n) + ", edel) [model]");

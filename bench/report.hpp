@@ -85,7 +85,7 @@ class JsonWriter {
 // --- shared driver flags -------------------------------------------------
 
 struct BenchArgs {
-  std::string figure;       ///< e.g. "fig04", "table1", "ablation_queues"
+  std::string figure;       ///< e.g. "fig04", "table1", "ablation_executor"
   bool json = false;        ///< emit BENCH_<figure>.json
   std::string out;          ///< output file or directory (implies json)
   int repeat = 1;           ///< repetitions per [real] point

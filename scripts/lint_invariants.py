@@ -15,9 +15,9 @@ config-ref   No class may store a `Config&` / `Config*` (or a
              `lint:allow(config-ref): <reason>` for a justified exception.
 
 raw-sync     Cross-thread hand-off edges in src/smr and src/paxos must use
-             PipelineQueue / BoundedBlockingQueue / WaitStrategy
-             (src/common), which carry the backpressure, close and
-             wait-attribution semantics the pipeline relies on — not ad-hoc
+             BoundedBlockingQueue / WaitStrategy (src/common), which carry
+             the backpressure, close and wait-attribution semantics the
+             pipeline relies on — not ad-hoc
              `std::mutex` + `std::condition_variable` member pairs. A class
              that legitimately needs a raw pair (timed periodic sleep, a
              rendezvous barrier) annotates it with
@@ -130,7 +130,7 @@ def lint_raw_sync(root, violations):
                 violations.append(
                     f"{rel}:{i + 1}: raw-sync: raw std::mutex + std::condition_variable "
                     "pair in the SMR/Paxos pipeline — cross-thread hand-offs must use "
-                    "PipelineQueue/BoundedBlockingQueue/WaitStrategy (src/common), or "
+                    "BoundedBlockingQueue/WaitStrategy (src/common), or "
                     "annotate `lint:allow(raw-sync): <reason>`"
                 )
 

@@ -54,10 +54,6 @@ std::uint64_t parse_ms_as_ns(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-const char* to_string(QueueImpl impl) {
-  return impl == QueueImpl::kMutex ? "mutex" : "ring";
-}
-
 const char* to_string(ExecutorImpl impl) {
   return impl == ExecutorImpl::kSerial ? "serial" : "affinity";
 }
@@ -98,8 +94,6 @@ void Config::apply_overrides(const std::map<std::string, std::string>& overrides
       parse_into(proposal_queue_cap, key, value);
     } else if (key == "request_payload_bytes") {
       parse_into(request_payload_bytes, key, value);
-    } else if (key == "queue_impl") {
-      queue_impl = parse_choice(key, value, {QueueImpl::kMutex, QueueImpl::kRing});
     } else if (key == "executor_impl") {
       executor_impl = parse_choice(key, value, {ExecutorImpl::kSerial, ExecutorImpl::kAffinity});
     } else if (key == "executor_workers") {
@@ -117,9 +111,6 @@ void Config::apply_overrides(const std::map<std::string, std::string>& overrides
       log_dir = value;
     } else if (key == "fsync_batch_ns") {
       parse_into(fsync_batch_ns, key, value);
-    } else if (key == "preexec_window") {
-      parse_into(preexec_window, key, value);
-      if (preexec_window < 1) throw std::invalid_argument("preexec_window must be >= 1");
     } else if (key == "read_path") {
       read_path = parse_choice(key, value, {ReadPath::kConsensus, ReadPath::kLease});
     } else if (key == "lease_duration_ms") {

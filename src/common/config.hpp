@@ -15,17 +15,6 @@ namespace mcsmr {
 
 using ReplicaId = std::uint32_t;
 
-/// Backend of the hot pipeline hand-offs (Batcher->Protocol ProposalQueue
-/// and the per-ClientIO-thread reply queues). Both backends run the same
-/// code paths; only the PipelineQueue underneath changes:
-///   kMutex — instrumented BoundedBlockingQueue (the paper's design),
-///            kept as the A/B baseline;
-///   kRing  — the lock-free MpmcRing with spin-then-park waiting
-///            (see common/queue.hpp and common/wait_strategy.hpp).
-enum class QueueImpl { kMutex, kRing };
-
-const char* to_string(QueueImpl impl);
-
 /// Execution strategy of the ServiceManager (§V-D):
 ///   kSerial   — the paper's design: the Replica thread applies decided
 ///               batches one request at a time (baseline, default);
@@ -87,9 +76,6 @@ struct Config {
   std::size_t request_queue_cap = 1000;  ///< paper Table I: max 1000
   std::size_t proposal_queue_cap = 20;   ///< paper Table I: max 20
 
-  // --- Hot-path queue implementation (§V-E; bench_ablation_queues) ---
-  QueueImpl queue_impl = QueueImpl::kRing;  ///< ProposalQueue + reply path
-
   // --- Failure detection (§V-C3) ---
   std::uint64_t fd_heartbeat_interval_ns = 50'000'000;   ///< leader heartbeat: 50 ms
   std::uint64_t fd_suspect_timeout_ns = 400'000'000;     ///< suspect leader after 400 ms
@@ -136,10 +122,6 @@ struct Config {
   /// Group-commit window of the segment flush thread: batch appends and
   /// fsync at most once per window (0 = fsync every write burst).
   std::uint64_t fsync_batch_ns = 1'000'000;
-  /// Pre-execution window: how many log records the proposer pipeline may
-  /// run ahead of the durable point before it stops pulling proposals
-  /// (libpaxos' proposer_preexec_window; irrelevant for memory storage).
-  std::uint32_t preexec_window = 128;
 
   // --- Workload shape (used by clients/benches; paper §VI) ---
   std::size_t request_payload_bytes = 128;
@@ -171,13 +153,13 @@ struct Config {
   /// MCSMR_CONFIG and bench/e2e workloads all come through here).
   /// Accepted keys: n, window_size, batch_max_bytes, batch_timeout_ms,
   /// client_io_threads, request_queue_cap, proposal_queue_cap,
-  /// request_payload_bytes, queue_impl (mutex|ring),
-  /// executor_impl (serial|affinity), executor_workers, num_partitions,
-  /// log_storage (memory|segment), log_dir, fsync_batch_ns,
-  /// preexec_window, read_path (consensus|lease), lease_duration_ms,
-  /// lease_drift_margin_ms. Numbers are plain decimal digits that must
-  /// fit the field. Throws std::invalid_argument on an unknown key or a
-  /// malformed/illegal value, std::out_of_range on a number too large.
+  /// request_payload_bytes, executor_impl (serial|affinity),
+  /// executor_workers, num_partitions, log_storage (memory|segment),
+  /// log_dir, fsync_batch_ns, read_path (consensus|lease),
+  /// lease_duration_ms, lease_drift_margin_ms. Numbers are plain decimal
+  /// digits that must fit the field. Throws std::invalid_argument on an
+  /// unknown key or a malformed/illegal value, std::out_of_range on a
+  /// number too large.
   void apply_overrides(const std::map<std::string, std::string>& overrides);
 
   /// Split argv-style "key=value" tokens into an override map (a repeated

@@ -1,24 +1,25 @@
-// Spin-then-park wait strategy for the lock-free queue edges (§V-E).
+// Spin-then-park waiting on a condition over atomics (§V-E).
 //
-// The lock-free rings in queue.hpp are non-blocking by construction, but
-// the Fig 3 pipeline needs *blocking* edges: an idle Protocol thread must
-// not burn a core polling an empty ProposalQueue, and a full queue must
-// stall its producer (flow control by backpressure). This file supplies
-// the missing half:
+// Some hand-offs are not queues but a predicate over atomic counters: the
+// segment storage's flush thread waiting for appends and its sync()
+// callers waiting for the durable LSN (flush_wake_/durable_wake_), and
+// the affinity executor's rendezvous and quiesce points (sync_). They
+// need to block without a mutex on the fast path, so an idle thread does
+// not burn a core polling and a waiter is woken as soon as the counter
+// moves. This file supplies that:
 //
 //   EventCount — Vyukov-style eventcount: the portable futex. Waiters
 //     announce themselves (prepare_wait), re-check their condition, then
 //     park on a condvar keyed by an epoch (commit_wait). Notifiers bump
 //     the epoch and only touch the mutex when somebody is actually
-//     parked, so the producer fast path on an active queue is one
-//     relaxed load.
+//     parked, so a notify with nobody parked is one relaxed load.
 //
 //   WaitStrategy — the policy on top: spin for a bounded budget (the
 //     hand-off usually completes within a few hundred cycles when both
 //     stages are hot), then park via the EventCount. Parked intervals
 //     are charged to the owning thread's "waiting" state, so the per-
-//     thread breakdowns of Figs 1b/8/14 keep working on the ring-backed
-//     edges exactly as they do on the mutex queues.
+//     thread breakdowns of Figs 1b/8/14 see these waits exactly as they
+//     see the queues' condition waits.
 //
 // Lost-wakeup freedom: prepare_wait's seq_cst RMW on waiters_ and the
 // notifier's seq_cst fence before reading waiters_ form the standard
@@ -121,8 +122,8 @@ class EventCount {
   std::condition_variable cv_;
 };
 
-/// Spin-then-park: the wait policy of the ring-backed pipeline queues.
-/// One instance per condition ("not empty" / "not full") per queue.
+/// Spin-then-park: the wait policy for one condition over atomics (e.g.
+/// "the durable LSN reached x", "every worker arrived").
 class WaitStrategy {
  public:
   /// `spin_budget`: condition re-checks (with cpu_relax) before parking.

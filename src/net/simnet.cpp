@@ -60,6 +60,9 @@ std::uint64_t SimNetwork::reserve_nic(Node& node, bool out, std::uint64_t packet
                                                     params_.node_bandwidth_bps * 1e9));
     }
   }
+  // A free NIC serializes nothing: a message delayed on one link (a
+  // FaultPlan delay or jitter) must not hold back later messages on others.
+  if (cost_ns == 0) return earliest_ns;
   std::lock_guard<std::mutex> guard(node.nic_mu);
   std::uint64_t& busy_until = out ? node.nic_out_busy_until_ns : node.nic_in_busy_until_ns;
   const std::uint64_t start = std::max(earliest_ns, busy_until);

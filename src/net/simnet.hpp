@@ -15,7 +15,9 @@
 //   * the NIC is modeled as a FIFO reservation: each message occupies the
 //     NIC from `busy_until` for its cost, so queueing delay — and thus
 //     observed RTT — grows exactly when a node's packet rate approaches
-//     its budget;
+//     its budget. A NIC that costs nothing (budgets off, or an unlimited
+//     node) reserves nothing, so a delayed or jittered link never holds
+//     back another link into the same node;
 //   * a delivery thread releases messages into destination inboxes at
 //     their computed arrival times (real-time, so the real threaded
 //     replicas experience the modeled latency), or hands them to a sink

@@ -21,8 +21,9 @@
 //                    thread. Appends are queued (never block on IO); the
 //                    Protocol thread releases protocol acks only once
 //                    durable_lsn() covers them, and the proposer pipeline
-//                    runs at most Config::preexec_window records ahead of
-//                    the durable point (libpaxos' pre-execution window).
+//                    runs at most kPreexecWindow records ahead of the
+//                    durable point (libpaxos' pre-execution window; a
+//                    constant in smr/protocol_thread.cpp).
 //
 // Crash-consistency contract of SegmentStorage::recover (run at open):
 //   * a torn tail (partial frame or CRC mismatch at the END of the last

@@ -68,10 +68,8 @@ using DecisionEvent = std::variant<Decision, SnapshotInstallEvent, BarrierNudgeE
 // --- Queue aliases ------------------------------------------------------------
 
 using RequestQueue = BoundedBlockingQueue<paxos::Request>;
-/// Batcher -> Protocol: the hottest hand-off. Backend selected per
-/// Config::queue_impl (one Batcher producer, so the ring keeps the cap
-/// strict).
-using ProposalQueue = PipelineQueue<Bytes>;
+/// Batcher -> Protocol: the hottest hand-off (paper cap 20, Table I).
+using ProposalQueue = BoundedBlockingQueue<Bytes>;
 using DispatcherQueue = BoundedBlockingQueue<DispatchEvent>;
 inline constexpr std::size_t kDispatcherQueueCap = 8192;
 using DecisionQueue = BoundedBlockingQueue<DecisionEvent>;

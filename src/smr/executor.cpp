@@ -6,7 +6,7 @@
 namespace mcsmr::smr {
 
 namespace {
-/// Per-worker hand-off ring capacity. Batches larger than this still work:
+/// Per-worker hand-off queue capacity. Batches larger than this still work:
 /// the scheduler's push blocks until the worker drains (no cycle back to
 /// the scheduler, so the wait is deadlock-free).
 constexpr std::size_t kWorkerQueueCap = 1024;
@@ -26,9 +26,9 @@ AffinityExecutor::~AffinityExecutor() { stop(); }
 void AffinityExecutor::start() {
   if (started_) return;
   started_ = true;
-  // Fresh rings and frontier slots every start: a PipelineQueue's close()
-  // is permanent, so a stop()/start() cycle must not hand re-spawned
-  // workers closed queues.
+  // Fresh queues and frontier slots every start: a queue's close() is
+  // permanent, so a stop()/start() cycle must not hand re-spawned workers
+  // closed queues.
   queues_.clear();
   routes_.clear();
   frontier_ = std::make_unique<std::atomic<std::uint64_t>[]>(worker_count_);
@@ -36,10 +36,8 @@ void AffinityExecutor::start() {
   for (std::uint32_t i = 0; i < worker_count_; ++i) {
     frontier_[i].store(0, std::memory_order_relaxed);
     outstanding_[i].store(0, std::memory_order_relaxed);
-    // Always the ring: the executor is itself the alternative to the
-    // serial baseline, so the A/B knob is executor_impl, not queue_impl.
-    queues_.push_back(std::make_unique<PipelineQueue<Task>>(
-        QueueImpl::kRing, kWorkerQueueCap, "AffinityQueue-" + std::to_string(i)));
+    queues_.push_back(std::make_unique<BoundedBlockingQueue<Task>>(
+        kWorkerQueueCap, "AffinityQueue-" + std::to_string(i)));
   }
   for (std::uint32_t i = 0; i < worker_count_; ++i) {
     threads_.emplace_back(config_.thread_name_prefix + "AffWorker-" + std::to_string(i),
@@ -49,7 +47,7 @@ void AffinityExecutor::start() {
 
 void AffinityExecutor::stop() {
   if (!started_) return;
-  // close() lets each worker drain what is already in its ring before the
+  // close() lets each worker drain what is already in its queue before the
   // pop returns nullopt — every pushed rendezvous marker gets processed,
   // so no worker can be left parked at one.
   for (auto& queue : queues_) queue->close();
@@ -130,7 +128,7 @@ void AffinityExecutor::push_task(std::uint32_t worker, const Task& task) {
       BatchState* batch = rendezvous->batch;
       // Simulate this worker's participation: arrive, and let the home
       // role collapse onto whichever context reaches expected last. With
-      // every ring closed no worker thread is running, so the calls all
+      // every queue closed no worker thread is running, so the calls all
       // happen here, serially — the request executes exactly once.
       if (rendezvous->arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           rendezvous->expected) {
@@ -221,10 +219,10 @@ void AffinityExecutor::submit(paxos::InstanceId instance, std::vector<paxos::Req
   }
   batch->refs.store(refs, std::memory_order_relaxed);
 
-  // Pass 2: dispatch in decided order. Per-worker FIFO rings turn this
+  // Pass 2: dispatch in decided order. Per-worker FIFO queues turn this
   // order into per-key execution order; rendezvous markers occupy the
-  // request's decided position in EVERY involved ring, which both orders
-  // the multi-key request against each ring's stream and makes the
+  // request's decided position in EVERY involved queue, which both orders
+  // the multi-key request against each queue's stream and makes the
   // rendezvous deadlock-free (no marker can be behind a later one).
   for (std::size_t i = 0; i < n; ++i) {
     const auto [flat_begin, flat_count] = involved_spans_[i];
@@ -297,7 +295,7 @@ void AffinityExecutor::publish_frontier(paxos::InstanceId instance) {
 void AffinityExecutor::quiesce() {
   if (!started_) return;
   // Cumulative arrival target: each worker bumps quiesce_arrived_ exactly
-  // once per marker, after finishing everything ahead of it in its ring.
+  // once per marker, after finishing everything ahead of it in its queue.
   const std::uint64_t target = quiesce_arrived_.load(std::memory_order_relaxed) + worker_count_;
   Task marker;
   marker.kind = Task::Kind::kQuiesce;
@@ -316,7 +314,7 @@ void AffinityExecutor::resume() {
 }
 
 void AffinityExecutor::worker_loop(std::uint32_t index) {
-  PipelineQueue<Task>& queue = *queues_[index];
+  BoundedBlockingQueue<Task>& queue = *queues_[index];
   while (auto task = queue.pop()) {
     switch (task->kind) {
       case Task::Kind::kExec: {
@@ -329,7 +327,7 @@ void AffinityExecutor::worker_loop(std::uint32_t index) {
       case Task::Kind::kRendezvous: {
         Rendezvous* rendezvous = task->rendezvous;
         BatchState* batch = rendezvous->batch;
-        // Arrive (acq_rel: prior work in this ring happens-before the
+        // Arrive (acq_rel: prior work in this queue happens-before the
         // home's execution) and wake whoever waits on the count.
         rendezvous->arrived.fetch_add(1, std::memory_order_acq_rel);
         sync_.notify();

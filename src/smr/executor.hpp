@@ -38,7 +38,7 @@ namespace mcsmr::smr {
 ///     replica schedules from identical, pre-decided footprints.
 ///   * Every key with work in flight is owned by exactly one worker (a
 ///     live KEY CHAIN); the scheduler (the ServiceManager thread) enqueues
-///     every single-owner request onto its owning worker's ring in
+///     every single-owner request onto its owning worker's queue in
 ///     decided order and moves on immediately — non-conflicting work
 ///     flows continuously across batch boundaries. A key whose chain has
 ///     fully drained re-opens on the least-loaded worker (hash-slice
@@ -47,17 +47,17 @@ namespace mcsmr::smr {
 ///     slice's share behind the storm. Worker CHOICE is a scheduling
 ///     heuristic; per-key ORDER — the determinism contract — never is.
 ///   * Per-key decided order is preserved for free: same live key =>
-///     same worker => same FIFO ring, and a chain only moves after all
+///     same worker => same FIFO queue, and a chain only moves after all
 ///     its prior executions completed (release/acquire on the chain's
 ///     pending count). Keyless conflict-free requests stick to a worker
 ///     by client id (any fixed assignment is valid — they conflict with
 ///     nothing).
 ///   * A request whose keys span workers (or that is `global`, which
 ///     involves every worker) becomes a RENDEZVOUS: a marker is pushed to
-///     each involved worker's ring at the request's decided position; the
+///     each involved worker's queue at the request's decided position; the
 ///     lowest involved worker (home) waits for the others to arrive,
 ///     executes, and releases them. Only the involved workers pause —
-///     the rest keep streaming. Ring FIFO makes the rendezvous
+///     the rest keep streaming. Queue FIFO makes the rendezvous
 ///     deadlock-free: markers of one rendezvous are pushed before
 ///     anything later, so two workers can never wait on each other's
 ///     unreached markers.
@@ -67,7 +67,7 @@ namespace mcsmr::smr {
 ///     of producers). Per-client reply order is preserved because
 ///     the scheduler dedups by client seq and clients are closed-loop.
 ///   * The executed-instance frontier (lease-read bound) is published by
-///     frontier TOKENS: publish_frontier(i) pushes a token to every ring;
+///     frontier TOKENS: publish_frontier(i) pushes a token to every queue;
 ///     a worker processing its token has finished all its work of
 ///     instances <= i (FIFO), stores i+1 into its slot, and CAS-maxes the
 ///     minimum over all slots into SharedState::executed_frontier — so
@@ -86,7 +86,7 @@ class AffinityExecutor {
   AffinityExecutor& operator=(const AffinityExecutor&) = delete;
 
   void start();
-  /// Drains every ring (all submitted work, rendezvous included, completes)
+  /// Drains every queue (all submitted work, rendezvous included, completes)
   /// and joins the workers. Caller contract: no submit()/quiesce() after
   /// stop() begins (the ServiceManager joins its thread first).
   void stop();
@@ -101,12 +101,12 @@ class AffinityExecutor {
               std::vector<RequestClass> classes);
 
   /// Publish instance `instance` as consumed: once every worker has passed
-  /// this point in its ring, SharedState::executed_frontier advances to
+  /// this point in its queue, SharedState::executed_frontier advances to
   /// `instance + 1`. Call once per decided instance, after its last
   /// submit().
   void publish_frontier(paxos::InstanceId instance);
 
-  /// Park every worker at its current ring position and wait until all
+  /// Park every worker at its current queue position and wait until all
   /// previously submitted work has fully executed. Pair with resume().
   /// Used for snapshots, manifest installs and cross-partition barriers.
   void quiesce();
@@ -201,9 +201,9 @@ class AffinityExecutor {
   SharedState& shared_;
   const std::uint32_t worker_count_;
 
-  /// One ring per worker; (re)built by start() — close() is
-  /// permanent per queue, so a restart needs fresh rings.
-  std::vector<std::unique_ptr<PipelineQueue<Task>>> queues_;
+  /// One queue per worker; (re)built by start() — close() is
+  /// permanent per queue, so a restart needs fresh queues.
+  std::vector<std::unique_ptr<BoundedBlockingQueue<Task>>> queues_;
   std::vector<metrics::NamedThread> threads_;
   bool started_ = false;
 

@@ -2,6 +2,15 @@
 
 namespace mcsmr::smr {
 
+namespace {
+
+/// Pre-execution window: how many log records the proposer may run ahead
+/// of the durable point before it stops pulling proposals (libpaxos'
+/// proposer_preexec_window; never reached with memory storage).
+constexpr std::uint64_t kPreexecWindow = 128;
+
+}  // namespace
+
 ProtocolThread::ProtocolThread(const Config& config, paxos::Engine& engine,
                                paxos::LogStorage& storage, DispatcherQueue& dispatcher,
                                ProposalQueue& proposals, DecisionQueue& decisions,
@@ -75,7 +84,7 @@ void ProtocolThread::pull_proposals() {
   // only so far — a proposer unboundedly ahead of its fsyncs would turn a
   // crash into mass client-visible retraction.
   while (engine_.is_leader() && engine_.window_available() &&
-         storage_.appended_lsn() - storage_.durable_lsn() < config_.preexec_window) {
+         storage_.appended_lsn() - storage_.durable_lsn() < kPreexecWindow) {
     auto batch = proposals_.try_pop();
     if (!batch.has_value()) break;
     engine_.on_batch(std::move(*batch), effects_);

@@ -25,7 +25,7 @@
 // vote left the machine, so the decision survives any single crash — and
 // a full-cluster crash can re-derive it in Phase 1 from the durable
 // acceptances. The proposer additionally stops pulling new batches when
-// more than Config::preexec_window records await durability.
+// more than kPreexecWindow (protocol_thread.cpp) records await durability.
 #pragma once
 
 #include <atomic>

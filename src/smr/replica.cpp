@@ -25,7 +25,7 @@ Replica::Partition::Partition(const Config& replica_config, ReplicaId self,
     : index(partition_index), config(partition_config(replica_config, partition_index)),
       shared(config.n),
       request_queue(config.request_queue_cap, "RequestQueue"),
-      proposal_queue(config.queue_impl, config.proposal_queue_cap, "ProposalQueue"),
+      proposal_queue(config.proposal_queue_cap, "ProposalQueue"),
       dispatcher_queue(kDispatcherQueueCap, "DispatcherQueue"),
       decision_queue(kDecisionQueueCap, "DecisionQueue"),
       service(std::move(svc)),

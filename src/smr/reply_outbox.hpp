@@ -41,7 +41,7 @@ class ReplyOutbox {
   /// is then re-armed so a later push retries.
   using Wake = std::function<bool()>;
 
-  ReplyOutbox(QueueImpl impl, std::string name, SharedState& shared, Wake wake);
+  ReplyOutbox(std::string name, SharedState& shared, Wake wake);
 
   ReplyOutbox(const ReplyOutbox&) = delete;
   ReplyOutbox& operator=(const ReplyOutbox&) = delete;
@@ -74,7 +74,7 @@ class ReplyOutbox {
   void close() { queue_.close(); }
 
  private:
-  PipelineQueue<ClientReplyFrame> queue_;
+  BoundedBlockingQueue<ClientReplyFrame> queue_;
   SharedState& shared_;
   const Wake wake_;
   std::atomic<bool> wake_pending_{false};

@@ -34,7 +34,8 @@ void ServiceManager::stop() {
   // run() exits when the DecisionQueue closes (Replica::stop closes it).
   // Join order matters: with the SM thread gone, every task of every
   // submitted batch — including all markers of every rendezvous — is
-  // already in the rings, so the executor's close-and-drain retires them all.
+  // already in the worker queues, so the executor's close-and-drain retires
+  // them all.
   thread_.join();
   if (affinity_) affinity_->stop();
   started_ = false;
@@ -137,7 +138,7 @@ void ServiceManager::mark_instance_consumed(paxos::InstanceId instance) {
     if (affinity_) {
       // Affinity mode: execution is still in flight on the workers, so
       // this thread may not publish the frontier itself. A token in every
-      // ring advances it once ALL workers are past this instance (the
+      // worker queue advances it once ALL workers are past this instance (the
       // lease read path acquires the frontier, then reads service state).
       affinity_->publish_frontier(instance);
       return;

@@ -12,7 +12,7 @@
 //   affinity — early-scheduled per-key worker affinity: batches arrive
 //              with classification footprints embedded (v2 encoding, see
 //              paxos/messages.cpp), so this thread only dedups and routes
-//              each request to its owning worker's ring — no classify(),
+//              each request to its owning worker's queue — no classify(),
 //              no per-batch barrier, no reply hand-off. Workers execute and
 //              reply; the executed frontier advances through per-worker
 //              tokens (AffinityExecutor::publish_frontier). Snapshots,

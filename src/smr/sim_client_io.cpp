@@ -16,7 +16,7 @@ SimClientIo::SimClientIo(const Config& config, net::SimNetwork& net, net::NodeId
     // fails on a full inbox; the opportunistic drain in io_loop covers
     // the gap until the next push retries.
     outboxes_.push_back(std::make_unique<ReplyOutbox>(
-        config.queue_impl, "ReplyQueue-" + std::to_string(t), shared, [this, channel] {
+        "ReplyQueue-" + std::to_string(t), shared, [this, channel] {
           net::SimMessage wake;
           wake.from = self_node_;
           wake.channel = channel;

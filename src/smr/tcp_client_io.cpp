@@ -23,7 +23,7 @@ TcpClientIo::TcpClientIo(const Config& config, std::uint16_t port,
     loops_.push_back(std::make_unique<net::EventLoop>());
     // The wake is a drain task posted to the loop (post() cannot fail).
     outboxes_.push_back(std::make_unique<ReplyOutbox>(
-        config.queue_impl, "ReplyQueue-" + std::to_string(t), shared, [this, t] {
+        "ReplyQueue-" + std::to_string(t), shared, [this, t] {
           loops_[static_cast<std::size_t>(t)]->post([this, t] {
             outboxes_[static_cast<std::size_t>(t)]->on_wake(
                 [this, t](const ClientReplyFrame& reply) { deliver(t, reply); });

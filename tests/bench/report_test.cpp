@@ -75,8 +75,9 @@ BenchArgs test_args(std::vector<std::string> argv_strings) {
 
 TEST(BenchArgs, ParsesSharedFlagsAndLeavesPassthrough) {
   std::istringstream line(
-      "bench_figtest --json --repeat 3 --budget=7000 --set queue_impl=mutex --seed 42 --smoke "
-      "--benchmark_list_tests --set=window_size=7 --calibrate --out /tmp/x --benchmark_filter=x");
+      "bench_figtest --json --repeat 3 --budget=7000 --set executor_impl=affinity --seed 42 "
+      "--smoke --benchmark_list_tests --set=window_size=7 --calibrate --out /tmp/x "
+      "--benchmark_filter=x");
   std::vector<std::string> argv_strings{std::istream_iterator<std::string>(line), {}};
   std::vector<char*> argv;
   for (auto& arg : argv_strings) argv.push_back(arg.data());
@@ -91,7 +92,7 @@ TEST(BenchArgs, ParsesSharedFlagsAndLeavesPassthrough) {
   EXPECT_TRUE(args.smoke);
   EXPECT_EQ(args.out, "/tmp/x");
   EXPECT_EQ(args.set.size(), 2u);
-  EXPECT_EQ(args.set.at("queue_impl"), "mutex");
+  EXPECT_EQ(args.set.at("executor_impl"), "affinity");
   EXPECT_EQ(args.set.at("window_size"), "7");
   EXPECT_TRUE(args.calibrate);
   EXPECT_TRUE(args.flag("--benchmark_list_tests"));
@@ -106,10 +107,11 @@ TEST(BenchArgsDeathTest, SetRejectsWhatConfigRejects) {
   // Whatever Config rejects exits 2 with Config's own message.
   const auto set = [](const char* pair) { return test_args({"bench_figtest", "--set", pair}); };
   EXPECT_EXIT(set("bogus=1"), ::testing::ExitedWithCode(2), "unknown config key: bogus");
-  EXPECT_EXIT(set("queue_impl=lockfree"), ::testing::ExitedWithCode(2), "must be mutex or ring");
+  EXPECT_EXIT(set("executor_impl=lockfree"), ::testing::ExitedWithCode(2),
+              "must be serial or affinity");
   EXPECT_EXIT(set("executor_workers=-1"), ::testing::ExitedWithCode(2), "executor_workers");
   EXPECT_EXIT(set("num_partitions=4294967297"), ::testing::ExitedWithCode(2), "must be <=");
-  EXPECT_EXIT(set("queue_impl"), ::testing::ExitedWithCode(2), "expected key=value");
+  EXPECT_EXIT(set("executor_impl"), ::testing::ExitedWithCode(2), "expected key=value");
 }
 
 TEST(BenchArgs, OutPathResolution) {
@@ -241,12 +243,12 @@ TEST(BenchReport, EnvRecordsSeedRepeatAndSmoke) {
 
 TEST(BenchReport, EnvRecordsSetPairsAsOneObject) {
   const auto args = test_args(
-      {"bench_figtest", "--json", "--set", "num_partitions=4", "--set", "queue_impl=mutex"});
+      {"bench_figtest", "--json", "--set", "num_partitions=4", "--set", "executor_impl=affinity"});
   BenchReport report(args, "t");
   report.series("s [model]", "model", "m", "u", "x").point(1, 2);
   const std::string doc = report.render();
-  EXPECT_NE(doc.find("\"set\": {\n      \"num_partitions\": \"4\",\n"
-                     "      \"queue_impl\": \"mutex\"\n    }"),
+  EXPECT_NE(doc.find("\"set\": {\n      \"executor_impl\": \"affinity\",\n"
+                     "      \"num_partitions\": \"4\"\n    }"),
             std::string::npos)
       << doc;
   EXPECT_EQ(doc.find("\"partitions\""), std::string::npos);  // no per-key copy

@@ -49,13 +49,16 @@ TEST(Config, RejectsUnknownKey) {
 }
 
 TEST(Config, OneSpellingPerKey) {
-  // No aliases (wnd, bsz, partitions, storage) and no pin_io_threads or
-  // queue_spin_budget knob.
+  // No aliases (wnd, bsz, partitions, storage), no pin_io_threads or
+  // queue_spin_budget knob, no queue choice (every edge is the mutex
+  // queue) and no knob for the pre-execution window (a constant).
   for (const char* alias : {"wnd=35", "bsz=2600", "partitions=2", "storage=segment"}) {
     EXPECT_THROW(Config::from_args({alias}), std::invalid_argument) << alias;
   }
   EXPECT_THROW(Config::from_args({"pin_io_threads=1"}), std::invalid_argument);
   EXPECT_THROW(Config::from_args({"queue_spin_budget=256"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"queue_impl=mutex"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"preexec_window=128"}), std::invalid_argument);
 }
 
 TEST(Config, NoKeyForWhatNoReplicaReads) {
@@ -88,9 +91,10 @@ TEST(Config, RejectsNumbersItCannotHold) {
 }
 
 TEST(Config, ParsePairsKeepsTheLastValueOfARepeatedKey) {
-  const auto pairs = Config::parse_pairs({"queue_impl=mutex", "n=5", "queue_impl=ring"});
+  const auto pairs =
+      Config::parse_pairs({"executor_impl=serial", "n=5", "executor_impl=affinity"});
   ASSERT_EQ(pairs.size(), 2u);
-  EXPECT_EQ(pairs.at("queue_impl"), "ring");
+  EXPECT_EQ(pairs.at("executor_impl"), "affinity");
   EXPECT_EQ(pairs.at("n"), "5");
   EXPECT_EQ(Config::parse_pairs({"log_dir=a=b"}).at("log_dir"), "a=b");
 }

@@ -2,7 +2,7 @@
 // park/unpark wake correctness, no lost wakeups under a ping-pong hammer,
 // bounded spin (a parked waiter burns ~no CPU), timeout behavior, and the
 // "waiting" attribution that keeps the Fig 8 per-thread breakdown honest
-// on ring-backed edges.
+// on the waits built on it.
 #include "common/wait_strategy.hpp"
 
 #include <gtest/gtest.h>

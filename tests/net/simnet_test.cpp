@@ -329,27 +329,54 @@ TEST(SimNet, NeverDeliversEarlyUnderConcurrentBurst) {
 // send() wakes the delivery thread only for a new earliest message. One
 // that becomes the earliest while the thread waits for a far-off one must
 // still go out on time, and the far-off one must still wait its turn.
-// (The quick message goes to another node: b's ingress NIC is reserved in
-// send order, so a c->b message would be due after the delayed a->b.)
+// Both go to b: with no NIC budget, a delay on the a->b link must not
+// hold back the c->b link into the same receiver.
 TEST(SimNet, NewEarliestMessageWakesDeliveryThread) {
   SimNetwork net(fast_params());
   auto a = net.add_node("a");
   auto b = net.add_node("b");
   auto c = net.add_node("c");
-  auto d = net.add_node("d");
   FaultPlan slow;
   slow.extra_delay_ns = 500 * kMillis;
   net.set_fault(a, b, slow);
   ASSERT_TRUE(net.send(a, b, 0, Bytes{1}));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));  // thread waits for a->b
   const std::uint64_t t0 = mono_ns();
-  ASSERT_TRUE(net.send(c, d, 0, Bytes{2}));
-  auto quick = net.recv_for(d, 0, kSeconds);
+  ASSERT_TRUE(net.send(c, b, 0, Bytes{2}));
+  auto quick = net.recv_for(b, 0, kSeconds);
   ASSERT_TRUE(quick.has_value());
-  EXPECT_LT(mono_ns() - t0, 100 * kMillis) << "c->d waited behind the delayed a->b";
+  EXPECT_EQ(quick->from, c);
+  EXPECT_LT(mono_ns() - t0, 100 * kMillis) << "c->b waited behind the delayed a->b";
   auto slow_one = net.recv_for(b, 0, 2 * kSeconds);
   ASSERT_TRUE(slow_one.has_value());
+  EXPECT_EQ(slow_one->from, a);
   EXPECT_GE(mono_ns(), slow_one->sent_at_ns + 500 * kMillis + fast_params().one_way_ns);
+}
+
+// With no NIC budget, jitter reorders: a later message can overtake an
+// earlier one into the same receiver, which is what the chaos suites'
+// "reordering links" rely on.
+TEST(SimNet, JitterReordersWithoutNicBudget) {
+  SimNetwork net(fast_params());
+  auto a = net.add_node("a");
+  auto b = net.add_node("b");
+  FaultPlan jittery;
+  jittery.jitter_ns = 5 * kMillis;
+  net.set_fault(a, b, jittery);
+  constexpr int kMessages = 200;
+  for (int i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(net.send(a, b, 0, Bytes{static_cast<std::uint8_t>(i)}));
+  }
+  int inversions = 0;
+  int last = -1;
+  for (int n = 0; n < kMessages; ++n) {
+    auto msg = net.recv_for(b, 0, kSeconds);
+    ASSERT_TRUE(msg.has_value());
+    const int index = msg->payload[0];
+    if (index < last) ++inversions;
+    last = index;
+  }
+  EXPECT_GT(inversions, 0) << "jitter never reordered a pair";
 }
 
 // One batch that mixes sink and inbox destinations: each message lands

@@ -14,7 +14,7 @@ namespace {
 struct BatcherRig {
   explicit BatcherRig(Config config)
       : cfg(config), requests(config.request_queue_cap, "req"),
-        proposals(config.queue_impl, config.proposal_queue_cap, "prop"),
+        proposals(config.proposal_queue_cap, "prop"),
         dispatcher(kDispatcherQueueCap, "disp"), shared(config.n),
         batcher(cfg, requests, proposals, dispatcher, shared) {
     shared.is_leader.store(true);

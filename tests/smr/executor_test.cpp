@@ -258,7 +258,7 @@ TEST(AffinityExecutorTest, SameKeyNeverOverlapsAndKeepsDecidedOrder) {
   executor.submit(0, std::move(requests), std::move(classes));
   executor.stop();
   EXPECT_EQ(probe.peak(), 1) << "same-key requests overlapped";
-  // The single owning worker executes the whole chain off its ring.
+  // The single owning worker executes the whole chain off its queue.
   EXPECT_EQ(executor.dispatched(), 64u);
   EXPECT_EQ(io.replies().size(), 64u);
 }

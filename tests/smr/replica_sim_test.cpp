@@ -288,28 +288,10 @@ TEST(ReplicaSim, MatrixEnvPairsReachConfig) {
   EXPECT_EQ(cluster.config().batch_max_bytes, 999u);
 }
 
-TEST(ReplicaSim, BothQueueImplsServeTraffic) {
-  // Explicit cross-impl smoke regardless of which queue_impl the matrix
-  // variant runs: force each implementation in turn.
-  for (const char* impl : {"mutex", "ring"}) {
-    testing::ScopedMatrixEnv env(std::string("queue_impl=") + impl);
-    SimCluster cluster(Config{});
-    cluster.start();
-    ASSERT_TRUE(cluster.wait_for_leader().has_value()) << impl;
-    auto client = cluster.make_client(61);
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(client.call(Bytes{static_cast<std::uint8_t>(i)}).has_value())
-          << impl << " call " << i;
-    }
-    cluster.stop();
-  }
-}
-
-TEST(ReplicaSim, RingReplyPathBatchesWakeups) {
-  // The ring reply path coalesces ServiceManager->ClientIO hand-offs:
-  // after a burst of traffic, wake-ups must not exceed replies, and the
-  // replies must all have arrived (no reply stranded on a ring).
-  testing::ScopedMatrixEnv env("queue_impl=ring");
+TEST(ReplicaSim, ReplyPathBatchesWakeups) {
+  // The reply path coalesces ServiceManager->ClientIO hand-offs: after a
+  // burst of traffic, wake-ups must not exceed replies, and the replies
+  // must all have arrived (no reply stranded in a reply queue).
   SimCluster cluster(Config{});
   cluster.start();
   ASSERT_TRUE(cluster.wait_for_leader().has_value());
@@ -319,7 +301,7 @@ TEST(ReplicaSim, RingReplyPathBatchesWakeups) {
   }
   const std::uint64_t wakeups = cluster.replica(0).shared().reply_wakeups.load();
   const std::uint64_t executed = cluster.replica(0).executed_requests();
-  EXPECT_GT(wakeups, 0u) << "ring path should signal the ClientIO threads";
+  EXPECT_GT(wakeups, 0u) << "the reply path should signal the ClientIO threads";
   EXPECT_LE(wakeups, executed) << "more wake-ups than replies";
   cluster.stop();
 }

@@ -48,9 +48,9 @@ void delay(std::minstd_rand& rng, unsigned max) {
 /// `fail_percent` share of wakes fails (as a SimNet inject into a full
 /// inbox does) unless `force_wakes` is set.
 struct Rig {
-  explicit Rig(QueueImpl impl, unsigned max_late_spins = 0, unsigned fail_share = 0)
+  explicit Rig(unsigned max_late_spins = 0, unsigned fail_share = 0)
       : late_spins(max_late_spins), fail_percent(fail_share),
-        outbox(impl, "ReplyQueue-test", shared, [this] { return wake(); }) {}
+        outbox("ReplyQueue-test", shared, [this] { return wake(); }) {}
   ~Rig() {
     stop = true;
     if (drainer.joinable()) drainer.join();
@@ -144,20 +144,18 @@ void run_rounds(Rig& rig, int rounds, bool sentinel) {
   EXPECT_EQ(rig.shared.dropped_replies.load(), 0u);
 }
 
-class ReplyOutboxTest : public ::testing::TestWithParam<QueueImpl> {};
-
-TEST_P(ReplyOutboxTest, PromptWakesDeliverEveryReplyOnce) {
-  Rig rig(GetParam());
+TEST(ReplyOutbox, PromptWakesDeliverEveryReplyOnce) {
+  Rig rig;
   run_rounds(rig, 2000 * kScale, /*sentinel=*/false);
 }
 
-TEST_P(ReplyOutboxTest, LateWakesDeliverEveryReplyOnce) {
-  Rig rig(GetParam(), /*late_spins=*/2000);
+TEST(ReplyOutbox, LateWakesDeliverEveryReplyOnce) {
+  Rig rig(/*late_spins=*/2000);
   run_rounds(rig, 1000 * kScale, /*sentinel=*/false);
 }
 
-TEST_P(ReplyOutboxTest, FailedWakesReArmTheFlag) {
-  Rig rig(GetParam(), /*late_spins=*/500, /*fail_percent=*/30);
+TEST(ReplyOutbox, FailedWakesReArmTheFlag) {
+  Rig rig(/*late_spins=*/500, /*fail_percent=*/30);
   run_rounds(rig, 500 * kScale, /*sentinel=*/true);
 }
 
@@ -165,8 +163,8 @@ TEST_P(ReplyOutboxTest, FailedWakesReArmTheFlag) {
 // queue is empty; one thread pushes while the IO thread runs on_wake().
 // Either the drain takes the reply or the push sees the clear and wakes
 // again — never neither.
-TEST_P(ReplyOutboxTest, PushRacingTheClearNeverStrandsAReply) {
-  Rig rig(GetParam());  // this test drives the IO side itself
+TEST(ReplyOutbox, PushRacingTheClearNeverStrandsAReply) {
+  Rig rig;  // this test drives the IO side itself
   const auto discard = [](const ClientReplyFrame&) {};
   const int iterations = 20000 * kScale;
   std::atomic<int> go{0};
@@ -199,8 +197,8 @@ TEST_P(ReplyOutboxTest, PushRacingTheClearNeverStrandsAReply) {
   EXPECT_EQ(stranded, 0) << "of " << iterations << " races";
 }
 
-TEST_P(ReplyOutboxTest, FullQueueDropsAfterTheBudget) {
-  Rig rig(GetParam());  // no drainer: the IO thread is stalled
+TEST(ReplyOutbox, FullQueueDropsAfterTheBudget) {
+  Rig rig;  // no drainer: the IO thread is stalled
   for (std::uint64_t id = 0; id < ReplyOutbox::kQueueCap; ++id) rig.outbox.push(reply(id));
   EXPECT_EQ(rig.wakes.load(), 1u) << "one wake per burst";
 
@@ -214,8 +212,8 @@ TEST_P(ReplyOutboxTest, FullQueueDropsAfterTheBudget) {
   EXPECT_EQ(next, ReplyOutbox::kQueueCap) << "the dropped reply must not be queued";
 }
 
-TEST_P(ReplyOutboxTest, CloseReleasesABlockedProducer) {
-  Rig rig(GetParam());
+TEST(ReplyOutbox, CloseReleasesABlockedProducer) {
+  Rig rig;
   for (std::uint64_t id = 0; id < ReplyOutbox::kQueueCap; ++id) rig.outbox.push(reply(id));
   std::uint64_t blocked_ns = 0;
   std::thread producer([&] {
@@ -231,12 +229,6 @@ TEST_P(ReplyOutboxTest, CloseReleasesABlockedProducer) {
   rig.outbox.push(reply(0));  // after close: an immediate counted drop
   EXPECT_EQ(rig.shared.dropped_replies.load(), 2u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReplyOutboxTest,
-                         ::testing::Values(QueueImpl::kMutex, QueueImpl::kRing),
-                         [](const ::testing::TestParamInfo<QueueImpl>& param_info) {
-                           return std::string(to_string(param_info.param));
-                         });
 
 }  // namespace
 }  // namespace mcsmr::smr
