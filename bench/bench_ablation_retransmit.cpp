@@ -34,7 +34,8 @@ void BM_ScheduleCancel_LockFree(benchmark::State& state) {
   smr::SharedState shared(2);
   smr::DispatcherQueue dispatcher(64, "d");
   smr::SimPeerTransport transport(network, nodes, 0);
-  smr::ReplicaIo replica_io(config, 0, transport, dispatcher, shared);
+  smr::ReplicaIo replica_io(config, 0, transport);
+  replica_io.register_partition(dispatcher, shared);
   smr::Retransmitter retransmitter(config, replica_io);
   retransmitter.start();
 

@@ -25,9 +25,11 @@ ZkReplica::ZkReplica(const Config& config, ReplicaId self,
       commit_queue_(smr::kDecisionQueueCap, "CommitQueue"),
       transport_(std::move(transport)), service_(std::move(service)),
       reply_cache_(/*stripes=*/1, config.admitted_ttl_ns), engine_(config_, self),
-      replica_io_(config_, self, *transport_, unused_dispatcher_, shared_,
+      replica_io_(config_, self, *transport_,
                   smr::ReplicaIo::Options{"Sender-", /*inline_sends=*/false}),
-      retransmitter_(config_, replica_io_) {}
+      retransmitter_(config_, replica_io_) {
+  replica_io_.register_partition(unused_dispatcher_, shared_);
+}
 
 std::unique_ptr<ZkReplica> ZkReplica::create_sim(const Config& config, ReplicaId self,
                                                  net::SimNetwork& net,

@@ -13,6 +13,11 @@
 //   * empty/full condition waits count as "waiting" time
 // in the owning thread's ThreadStats — exactly the JVM states the paper
 // reports in Figs 1b/8/14.
+//
+// Signal is the same mutex + condvar for the hand-offs that are not
+// queues but a condition over state owned elsewhere: the segment
+// storage's flush thread and sync() callers, and the affinity executor's
+// rendezvous and quiesce points. Its waits are attributed the same way.
 #pragma once
 
 #include <atomic>
@@ -21,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -175,6 +181,43 @@ class BoundedBlockingQueue {
   bool closed_ = false;
   std::atomic<std::size_t> size_{0};
   std::string name_;
+};
+
+/// Block until a condition over other state (atomics, or data under its
+/// owner's lock) holds. The waiter checks the condition under mu_, and
+/// notify() takes mu_ before waking, so a change made before notify()
+/// either is seen by the check or finds the waiter already parked: no
+/// wake-up is lost. Spurious notifies are harmless.
+class Signal {
+ public:
+  /// Block until cond() is true. cond runs under mu_, so it must not call
+  /// back into this Signal.
+  template <typename Cond>
+  void await(Cond cond) {
+    std::unique_lock<metrics::InstrumentedMutex> lock(mu_);
+    if (cond()) return;
+    metrics::WaitingTimer timer;
+    cv_.wait(lock, cond);
+  }
+
+  /// Block until cond() is true or `timeout_ns` elapses; returns cond().
+  template <typename Cond>
+  bool await_for(Cond cond, std::uint64_t timeout_ns) {
+    std::unique_lock<metrics::InstrumentedMutex> lock(mu_);
+    if (cond()) return true;
+    metrics::WaitingTimer timer;
+    return cv_.wait_for(lock, std::chrono::nanoseconds(timeout_ns), cond);
+  }
+
+  /// Wake every waiter to re-check its condition. Call after the change.
+  void notify() {
+    { std::lock_guard<metrics::InstrumentedMutex> lock(mu_); }
+    cv_.notify_all();
+  }
+
+ private:
+  metrics::InstrumentedMutex mu_;
+  std::condition_variable_any cv_;
 };
 
 }  // namespace mcsmr

@@ -23,7 +23,12 @@
 //                    durable_lsn() covers them, and the proposer pipeline
 //                    runs at most kPreexecWindow records ahead of the
 //                    durable point (libpaxos' pre-execution window; a
-//                    constant in smr/protocol_thread.cpp).
+//                    constant in smr/protocol_thread.cpp). The flush
+//                    thread sleeps on a Signal (common/queue.hpp) until
+//                    an append, a sync() or the end of the window;
+//                    sync() callers sleep on a second one until the
+//                    durable LSN covers them. Both waits count as
+//                    "waiting" in the thread breakdowns.
 //
 // Crash-consistency contract of SegmentStorage::recover (run at open):
 //   * a torn tail (partial frame or CRC mismatch at the END of the last
@@ -47,7 +52,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/wait_strategy.hpp"
+#include "common/queue.hpp"
 #include "paxos/types.hpp"
 
 namespace mcsmr::paxos {
@@ -239,8 +244,8 @@ class SegmentStorage final : public LogStorage {
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> fsyncs_{0};
 
-  WaitStrategy flush_wake_;    ///< appenders -> flush thread
-  WaitStrategy durable_wake_;  ///< flush thread -> sync() waiters
+  Signal flush_wake_;    ///< appenders -> flush thread
+  Signal durable_wake_;  ///< flush thread -> sync() waiters
   std::thread flush_thread_;
 };
 

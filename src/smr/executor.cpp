@@ -1,6 +1,7 @@
 #include "smr/executor.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <string>
 
 namespace mcsmr::smr {
@@ -19,26 +20,19 @@ AffinityExecutor::AffinityExecutor(const Config& config, Service& service,
       shared_(shared),
       worker_count_(config.executor_workers == 0
                         ? 1
-                        : static_cast<std::uint32_t>(config.executor_workers)) {}
+                        : static_cast<std::uint32_t>(config.executor_workers)),
+      frontier_(std::make_unique<std::atomic<std::uint64_t>[]>(worker_count_)),
+      outstanding_(std::make_unique<std::atomic<std::uint64_t>[]>(worker_count_)) {
+  for (std::uint32_t i = 0; i < worker_count_; ++i) {
+    queues_.push_back(std::make_unique<BoundedBlockingQueue<Task>>(
+        kWorkerQueueCap, "AffinityQueue-" + std::to_string(i)));
+  }
+}
 
 AffinityExecutor::~AffinityExecutor() { stop(); }
 
 void AffinityExecutor::start() {
-  if (started_) return;
-  started_ = true;
-  // Fresh queues and frontier slots every start: a queue's close() is
-  // permanent, so a stop()/start() cycle must not hand re-spawned workers
-  // closed queues.
-  queues_.clear();
-  routes_.clear();
-  frontier_ = std::make_unique<std::atomic<std::uint64_t>[]>(worker_count_);
-  outstanding_ = std::make_unique<std::atomic<std::uint64_t>[]>(worker_count_);
-  for (std::uint32_t i = 0; i < worker_count_; ++i) {
-    frontier_[i].store(0, std::memory_order_relaxed);
-    outstanding_[i].store(0, std::memory_order_relaxed);
-    queues_.push_back(std::make_unique<BoundedBlockingQueue<Task>>(
-        kWorkerQueueCap, "AffinityQueue-" + std::to_string(i)));
-  }
+  assert(threads_.empty() && "AffinityExecutor starts once");
   for (std::uint32_t i = 0; i < worker_count_; ++i) {
     threads_.emplace_back(config_.thread_name_prefix + "AffWorker-" + std::to_string(i),
                           [this, i] { worker_loop(i); });
@@ -46,13 +40,11 @@ void AffinityExecutor::start() {
 }
 
 void AffinityExecutor::stop() {
-  if (!started_) return;
   // close() lets each worker drain what is already in its queue before the
   // pop returns nullopt — every pushed rendezvous marker gets processed,
   // so no worker can be left parked at one.
   for (auto& queue : queues_) queue->close();
   threads_.clear();  // joins
-  started_ = false;
 }
 
 void AffinityExecutor::execute_and_reply(const paxos::Request& request,
@@ -112,55 +104,16 @@ void AffinityExecutor::retire_chains(BatchState* batch, std::uint32_t index) {
 }
 
 void AffinityExecutor::push_task(std::uint32_t worker, const Task& task) {
-  if (queues_[worker]->push(task)) return;
-  // push fails only on a closed queue, which the submit contract rules out
-  // (the ServiceManager thread is joined before stop()); handle the
-  // degenerate case inline, in decided order.
-  switch (task.kind) {
-    case Task::Kind::kExec:
-      execute_and_reply(task.batch->requests[task.index], task.batch->instance);
-      retire_chains(task.batch, task.index);
-      outstanding_[worker].fetch_sub(1, std::memory_order_relaxed);
-      unref_batch(task.batch);
-      break;
-    case Task::Kind::kRendezvous: {
-      Rendezvous* rendezvous = task.rendezvous;
-      BatchState* batch = rendezvous->batch;
-      // Simulate this worker's participation: arrive, and let the home
-      // role collapse onto whichever context reaches expected last. With
-      // every queue closed no worker thread is running, so the calls all
-      // happen here, serially — the request executes exactly once.
-      if (rendezvous->arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          rendezvous->expected) {
-        execute_and_reply(batch->requests[rendezvous->index], batch->instance);
-        retire_chains(batch, rendezvous->index);
-        outstanding_[rendezvous->home].fetch_sub(1, std::memory_order_relaxed);
-        rendezvous->done.store(true, std::memory_order_release);
-      }
-      if (rendezvous->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete rendezvous;
-      unref_batch(batch);
-      break;
-    }
-    case Task::Kind::kQuiesce:
-      quiesce_arrived_.fetch_add(1, std::memory_order_acq_rel);
-      sync_.notify();
-      break;
-    case Task::Kind::kToken:
-      advance_frontier(worker, task.next_instance);
-      break;
-  }
+  // A push fails only on a closed queue, and stop() closes them only after
+  // the ServiceManager thread, the one submitter, has been joined.
+  [[maybe_unused]] const bool pushed = queues_[worker]->push(task);
+  assert(pushed && "AffinityExecutor: submit after stop()");
 }
 
 void AffinityExecutor::submit(paxos::InstanceId instance, std::vector<paxos::Request> requests,
                               std::vector<RequestClass> classes) {
   const std::size_t n = requests.size();
   if (n == 0) return;
-  if (!started_) {
-    // Unstarted fallback: serial, in decided order, on the caller.
-    for (const auto& request : requests) execute_and_reply(request, instance);
-    inline_execs_.fetch_add(n, std::memory_order_relaxed);
-    return;
-  }
 
   // Drained chains are erased lazily on re-lookup; keys that never come
   // back (unique keys are the common case) would accrete, so bound the
@@ -273,27 +226,16 @@ void AffinityExecutor::advance_frontier(std::uint32_t worker, std::uint64_t next
 }
 
 void AffinityExecutor::publish_frontier(paxos::InstanceId instance) {
-  const std::uint64_t next = instance + 1;
-  if (!started_) {
-    // No workers: the inline path already executed everything.
-    std::uint64_t current = shared_.executed_frontier.load(std::memory_order_relaxed);
-    while (current < next &&
-           !shared_.executed_frontier.compare_exchange_weak(
-               current, next, std::memory_order_release, std::memory_order_relaxed)) {
-    }
-    return;
-  }
   // A token to EVERY worker (not just the involved ones): each slot must
   // keep advancing or the minimum — and with it the lease-read bound —
   // would stall on idle workers.
   Task token;
   token.kind = Task::Kind::kToken;
-  token.next_instance = next;
+  token.next_instance = instance + 1;
   for (std::uint32_t w = 0; w < worker_count_; ++w) push_task(w, token);
 }
 
 void AffinityExecutor::quiesce() {
-  if (!started_) return;
   // Cumulative arrival target: each worker bumps quiesce_arrived_ exactly
   // once per marker, after finishing everything ahead of it in its queue.
   const std::uint64_t target = quiesce_arrived_.load(std::memory_order_relaxed) + worker_count_;
@@ -308,7 +250,6 @@ void AffinityExecutor::quiesce() {
 }
 
 void AffinityExecutor::resume() {
-  if (!started_) return;
   quiesce_seq_.fetch_add(1, std::memory_order_release);
   sync_.notify();
 }

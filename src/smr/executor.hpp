@@ -18,7 +18,6 @@
 
 #include "common/config.hpp"
 #include "common/queue.hpp"
-#include "common/wait_strategy.hpp"
 #include "metrics/thread_stats.hpp"
 #include "paxos/types.hpp"
 #include "smr/client_io.hpp"
@@ -85,6 +84,7 @@ class AffinityExecutor {
   AffinityExecutor(const AffinityExecutor&) = delete;
   AffinityExecutor& operator=(const AffinityExecutor&) = delete;
 
+  /// Starts the workers. Call once, before the first submit().
   void start();
   /// Drains every queue (all submitted work, rendezvous included, completes)
   /// and joins the workers. Caller contract: no submit()/quiesce() after
@@ -94,9 +94,8 @@ class AffinityExecutor {
   /// Dispatch `requests` (already deduplicated, in decided order, all from
   /// `instance`) onto the workers and return WITHOUT waiting for
   /// execution. `classes[i]` is requests[i]'s footprint (from the batch
-  /// encoding, or re-classified locally for v1 batches). Unstarted: runs
-  /// everything inline (degenerate but correct). Single thread only (the
-  /// ServiceManager thread).
+  /// encoding, or re-classified locally for v1 batches). Single thread
+  /// only (the ServiceManager thread).
   void submit(paxos::InstanceId instance, std::vector<paxos::Request> requests,
               std::vector<RequestClass> classes);
 
@@ -118,10 +117,6 @@ class AffinityExecutor {
   /// Multi-key/global requests executed via a worker rendezvous.
   std::uint64_t rendezvous_count() const {
     return rendezvous_.load(std::memory_order_relaxed);
-  }
-  /// Requests executed inline (unstarted fallback).
-  std::uint64_t inline_execs() const {
-    return inline_execs_.load(std::memory_order_relaxed);
   }
   std::size_t workers() const { return worker_count_; }
 
@@ -201,20 +196,18 @@ class AffinityExecutor {
   SharedState& shared_;
   const std::uint32_t worker_count_;
 
-  /// One queue per worker; (re)built by start() — close() is
-  /// permanent per queue, so a restart needs fresh queues.
+  /// One queue per worker.
   std::vector<std::unique_ptr<BoundedBlockingQueue<Task>>> queues_;
   std::vector<metrics::NamedThread> threads_;
-  bool started_ = false;
 
   /// Per-worker consumed-frontier slots (worker w has fully executed all
   /// of its work for instances < frontier_[w]); the executed frontier is
-  /// the minimum over all slots. Rebuilt by start().
+  /// the minimum over all slots.
   std::unique_ptr<std::atomic<std::uint64_t>[]> frontier_;
 
   /// One shared wait hub for the rare blocking edges (rendezvous arrival/
-  /// completion, quiesce). Spin-then-park; spurious notifies are benign.
-  WaitStrategy sync_;
+  /// completion, quiesce); spurious notifies are benign.
+  Signal sync_;
   /// Cumulative arrivals at quiesce markers; quiesce() waits for all
   /// workers, resume() bumps quiesce_seq_ to release them.
   std::atomic<std::uint64_t> quiesce_arrived_{0};
@@ -222,7 +215,6 @@ class AffinityExecutor {
 
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> rendezvous_{0};
-  std::atomic<std::uint64_t> inline_execs_{0};
 
   /// Live key chains (scheduler thread only; the values' pending counts
   /// are shared with workers). Drained entries are erased lazily on

@@ -18,16 +18,6 @@ ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transp
   }
 }
 
-ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
-                     DispatcherQueue& dispatcher, SharedState& shared)
-    : ReplicaIo(config, self, transport, dispatcher, shared, Options{}) {}
-
-ReplicaIo::ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
-                     DispatcherQueue& dispatcher, SharedState& shared, Options options)
-    : ReplicaIo(config, self, transport, std::move(options)) {
-  register_partition(dispatcher, shared);
-}
-
 void ReplicaIo::register_partition(DispatcherQueue& dispatcher, SharedState& shared) {
   feeds_.push_back(Feed{&dispatcher, &shared});
 }

@@ -66,11 +66,6 @@ class ReplicaIo {
   /// pipeline (in partition order) before start().
   ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
             Options options = {});
-  /// Single-pipeline convenience (legacy signature; also the baseline's).
-  ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
-            DispatcherQueue& dispatcher, SharedState& shared);
-  ReplicaIo(const Config& config, ReplicaId self, PeerTransport& transport,
-            DispatcherQueue& dispatcher, SharedState& shared, Options options);
 
   /// Register partition feeds in index order, before start(). The first
   /// registered SharedState also hosts the replica-level liveness

@@ -64,11 +64,6 @@ class RequestGate {
     Service* service = nullptr;     ///< this pipeline's shard
   };
 
-  /// Single-pipeline convenience (legacy signature).
-  RequestGate(const Config& config, RequestQueue& requests, ReplyCache& reply_cache,
-              SharedState& shared)
-      : RequestGate(config, {Intake{&requests, &reply_cache}}, nullptr, shared) {}
-
   /// One intake per partition, in index order. `router` may be null for a
   /// single pipeline. `shared` is partition 0's (leadership + counters).
   RequestGate(const Config& config, std::vector<Intake> intakes,

@@ -94,9 +94,6 @@ class ServiceManager {
     shared_.executed_frontier.store(next_instance, std::memory_order_release);
   }
 
-  /// The affinity executor, if one is configured (benches/tests).
-  const AffinityExecutor* affinity_executor() const { return affinity_.get(); }
-
  private:
   void run();
   void execute_batch(paxos::InstanceId instance, const Bytes& batch);

@@ -1,6 +1,7 @@
 // Fault-injection tests for the durable segment log (paxos/storage.hpp):
 // round-trip recovery, torn-tail truncation, CRC rejection in sealed
-// segments, fail-stop fsync, checkpoint GC, and crash simulation. These
+// segments, fail-stop fsync, checkpoint GC, crash simulation, and the
+// group-commit window (its timed wait and sync() cutting it short). These
 // are the attacks the durability layer exists to survive — each test
 // damages real files on disk and proves recovery does the right thing.
 #include <gtest/gtest.h>
@@ -10,7 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <thread>
 
+#include "common/clock.hpp"
 #include "paxos/storage.hpp"
 
 namespace mcsmr::paxos {
@@ -269,6 +272,43 @@ TEST_F(SegmentStorageTest, SimulatedCrashLosesAtMostTheUnsyncedTail) {
     EXPECT_EQ(state.entries.at(static_cast<InstanceId>(i)).value,
               value_of(static_cast<int>(i)));
   }
+}
+
+// The group-commit window: the flush thread writes appends as they come
+// but fsyncs at most once per window, unless a sync() cuts it short.
+TEST_F(SegmentStorageTest, SyncCutsTheGroupCommitWindowShort) {
+  SegmentStorageOptions opts = options();
+  opts.fsync_batch_ns = kSeconds;
+  SegmentStorage storage(opts);
+  for (int i = 0; i < 10; ++i) {
+    storage.append(DurableRecord::accept(1, static_cast<InstanceId>(i), value_of(i)));
+  }
+  // Let the flush thread write the records and park for the rest of the window.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(storage.durable_lsn(), storage.appended_lsn()) << "fsync did not wait for the window";
+  const std::uint64_t t0 = mono_ns();
+  storage.sync();
+  EXPECT_LT(mono_ns() - t0, 200 * kMillis) << "sync() waited for the window to close";
+  EXPECT_EQ(storage.durable_lsn(), storage.appended_lsn());
+}
+
+TEST_F(SegmentStorageTest, GroupCommitWindowBatchesFsyncs) {
+  SegmentStorageOptions opts = options();
+  opts.fsync_batch_ns = 20 * kMillis;
+  SegmentStorage storage(opts);
+  // Spaced out so that a flush thread which fsyncs each write would
+  // make one fsync per append.
+  for (int i = 0; i < 100; ++i) {
+    storage.append(DurableRecord::accept(1, static_cast<InstanceId>(i), value_of(i)));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const Lsn appended = storage.appended_lsn();
+  const std::uint64_t deadline = mono_ns() + kSeconds;
+  while (storage.durable_lsn() < appended && mono_ns() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(storage.durable_lsn(), appended) << "the window's timed wait never committed";
+  EXPECT_LE(storage.fsync_count(), 5u);
 }
 
 TEST_F(SegmentStorageTest, MemoryStorageIsAlwaysDurableAndNeverPersistent) {

@@ -24,7 +24,8 @@ struct FdRig {
     nodes = {net->add_node("r0"), net->add_node("r1"), net->add_node("r2")};
     transport = std::make_unique<SimPeerTransport>(*net, nodes, 1);  // we are replica 1
     dispatcher = std::make_unique<DispatcherQueue>(256, "d");
-    replica_io = std::make_unique<ReplicaIo>(config, 1, *transport, *dispatcher, shared);
+    replica_io = std::make_unique<ReplicaIo>(config, 1, *transport);
+    replica_io->register_partition(*dispatcher, shared);
     replica_io->start();
     fd = std::make_unique<FailureDetector>(config, 1, *replica_io, *dispatcher, shared);
   }

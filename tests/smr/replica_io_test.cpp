@@ -105,7 +105,8 @@ class FakeTransport : public PeerTransport {
 struct IoRig {
   IoRig(int n, bool may_block) : transport(may_block), shared(n) {
     config.n = n;
-    io = std::make_unique<ReplicaIo>(config, 0, transport, dispatcher, shared);
+    io = std::make_unique<ReplicaIo>(config, 0, transport);
+    io->register_partition(dispatcher, shared);
     io->start(/*spawn_receivers=*/false);
   }
   ~IoRig() { io->stop(); }
@@ -181,7 +182,8 @@ TEST(ReplicaIo, TcpFramesLeaveOnSenderThread) {
 
   SharedState shared(2);
   DispatcherQueue dispatcher(64, "d");
-  ReplicaIo io(config, 0, *links[0], dispatcher, shared);
+  ReplicaIo io(config, 0, *links[0]);
+  io.register_partition(dispatcher, shared);
   io.start(/*spawn_receivers=*/false);
   for (std::uint64_t seq = 0; seq < 50; ++seq) EXPECT_TRUE(io.send(1, frame_of(seq)));
   for (std::uint64_t seq = 0; seq < 50; ++seq) {
@@ -303,7 +305,8 @@ struct SimRcvRig {
 
 TEST(ReplicaIo, SimNetFramesReachDispatcherWithoutReceiveThreads) {
   SimRcvRig rig("simrcv/");
-  ReplicaIo io(rig.config, 0, *rig.transport, rig.dispatcher, rig.shared);
+  ReplicaIo io(rig.config, 0, *rig.transport);
+  io.register_partition(rig.dispatcher, rig.shared);
   rig.shared.last_recv_ns[1].store(0);
   rig.shared.last_recv_ns[2].store(0);
   // Sent before start: it waits in the inbox and is handed over first.
@@ -330,7 +333,8 @@ TEST(ReplicaIo, FullDispatcherQueueIsCountedDropThatNeverStallsDelivery) {
   constexpr std::size_t kCap = 4;
   constexpr std::uint64_t kSent = 10;
   SimRcvRig rig("fullrcv/", kCap);
-  ReplicaIo io(rig.config, 0, *rig.transport, rig.dispatcher, rig.shared);
+  ReplicaIo io(rig.config, 0, *rig.transport);
+  io.register_partition(rig.dispatcher, rig.shared);
   io.start();
   for (std::uint64_t seq = 0; seq < kSent; ++seq) rig.send_from(1, accept_frame(1, seq));
   const std::uint64_t deadline = mono_ns() + 5 * kSeconds;
@@ -351,7 +355,8 @@ TEST(ReplicaIo, FullDispatcherQueueIsCountedDropThatNeverStallsDelivery) {
 
 TEST(ReplicaIo, MalformedFrameIsDropped) {
   SimRcvRig rig("badrcv/");
-  ReplicaIo io(rig.config, 0, *rig.transport, rig.dispatcher, rig.shared);
+  ReplicaIo io(rig.config, 0, *rig.transport);
+  io.register_partition(rig.dispatcher, rig.shared);
   io.start();
   rig.send_from(1, Bytes{0xde, 0xad});
   rig.send_from(1, accept_frame(1, 7));
@@ -401,7 +406,8 @@ TEST(ReplicaIo, TcpKeepsOneReceiveThreadPerPeer) {
 
   SharedState shared(2);
   DispatcherQueue dispatcher(64, "d");
-  ReplicaIo io(config, 0, *links[0], dispatcher, shared);
+  ReplicaIo io(config, 0, *links[0]);
+  io.register_partition(dispatcher, shared);
   io.start();
   for (std::uint64_t seq = 0; seq < 20; ++seq) {
     ASSERT_TRUE(links[1]->send_to(0, accept_frame(1, seq)));

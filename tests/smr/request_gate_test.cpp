@@ -10,7 +10,7 @@ namespace {
 
 struct GateRig {
   GateRig() : requests(8, "req"), cache(8, /*admitted_ttl_ns=*/50 * kMillis), shared(3),
-              gate(config, requests, cache, shared) {
+              gate(config, {RequestGate::Intake{&requests, &cache}}, nullptr, shared) {
     shared.is_leader.store(true);
     shared.view.store(0);
   }

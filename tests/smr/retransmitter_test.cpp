@@ -25,7 +25,8 @@ struct RetransmitRig {
     nodes = {net->add_node("self"), net->add_node("peer")};
     transport = std::make_unique<SimPeerTransport>(*net, nodes, 0);
     dispatcher = std::make_unique<DispatcherQueue>(64, "d");
-    replica_io = std::make_unique<ReplicaIo>(config, 0, *transport, *dispatcher, shared);
+    replica_io = std::make_unique<ReplicaIo>(config, 0, *transport);
+    replica_io->register_partition(*dispatcher, shared);
     replica_io->start();
     retransmitter = std::make_unique<Retransmitter>(config, *replica_io);
     retransmitter->start();
